@@ -219,7 +219,7 @@ int run_erase_heavy(const bench::Options& opt) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::Options opt = bench::parse(argc, argv);
+  bench::Options opt = bench::parse(argc, argv, {"--erase-heavy"});
   bool erase_heavy = false;
   for (int i = 1; i < argc; ++i)
     if (std::strcmp(argv[i], "--erase-heavy") == 0) erase_heavy = true;

@@ -340,7 +340,7 @@ int sweep_main(const char* self, size_t n,
 }  // namespace
 
 int main(int argc, char** argv) {
-  Options opt = parse(argc, argv);
+  Options opt = parse(argc, argv, {"--child=", "--batch-sweep"});
   size_t n = opt.n ? opt.n : (opt.quick ? 20000 : 300000);
   size_t k = opt.batch ? opt.batch : std::min<size_t>(n, 100000);
   std::string child_input;

@@ -12,13 +12,19 @@
 //   --checkpoint=<path>  benches that support it also time a durable
 //                    snapshot save + load of a standing tree at <path>
 //                    (see src/recovery/snapshot.h)
+// plus the flags a binary names as its own when calling parse(). Any other
+// argument, or a size that is not a whole number, exits with code 2, so a
+// mistyped flag never measures a configuration nobody asked for.
 // Times are wall-clock seconds on this host; the paper's claims reproduced
 // here are about *relative* shape, not absolute numbers (see DESIGN.md).
 #pragma once
 
+#include <algorithm>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <initializer_list>
 #include <string>
 #include <type_traits>
 #include <utility>
@@ -41,21 +47,48 @@ struct Options {
   std::string checkpoint;  // snapshot save/load timing path; empty = off
 };
 
-inline Options parse(int argc, char** argv) {
+[[noreturn]] inline void usage_error(const char* arg) {
+  std::fprintf(stderr,
+               "unknown or malformed argument '%s'\n"
+               "flags: --n=<vertices> --batch=<k> --quick --json=<path> "
+               "--trace=<path> --checkpoint=<path> (see bench/common.h)\n",
+               arg);
+  std::exit(2);
+}
+
+// Parses the common flags. `own` lists the flags the binary reads itself:
+// "--name" for a switch, "--name=" for a flag that takes a value.
+inline Options parse(int argc, char** argv,
+                     std::initializer_list<const char*> own = {}) {
+  auto size_value = [](const char* arg, const char* text) {
+    char* end = nullptr;
+    errno = 0;
+    unsigned long long v = std::strtoull(text, &end, 10);
+    if (*text < '0' || *text > '9' || *end != '\0' || errno == ERANGE)
+      usage_error(arg);
+    return static_cast<size_t>(v);
+  };
   Options opt;
   for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--n=", 4) == 0)
-      opt.n = std::strtoul(argv[i] + 4, nullptr, 10);
-    else if (std::strncmp(argv[i], "--batch=", 8) == 0)
-      opt.batch = std::strtoul(argv[i] + 8, nullptr, 10);
-    else if (std::strncmp(argv[i], "--json=", 7) == 0)
-      opt.json = argv[i] + 7;
-    else if (std::strncmp(argv[i], "--trace=", 8) == 0)
-      opt.trace = argv[i] + 8;
-    else if (std::strncmp(argv[i], "--checkpoint=", 13) == 0)
-      opt.checkpoint = argv[i] + 13;
-    else if (std::strcmp(argv[i], "--quick") == 0)
+    const char* a = argv[i];
+    if (std::strncmp(a, "--n=", 4) == 0)
+      opt.n = size_value(a, a + 4);
+    else if (std::strncmp(a, "--batch=", 8) == 0)
+      opt.batch = size_value(a, a + 8);
+    else if (std::strncmp(a, "--json=", 7) == 0)
+      opt.json = a + 7;
+    else if (std::strncmp(a, "--trace=", 8) == 0)
+      opt.trace = a + 8;
+    else if (std::strncmp(a, "--checkpoint=", 13) == 0)
+      opt.checkpoint = a + 13;
+    else if (std::strcmp(a, "--quick") == 0)
       opt.quick = true;
+    else if (std::none_of(own.begin(), own.end(), [a](const char* f) {
+               size_t len = std::strlen(f);
+               return f[len - 1] == '=' ? std::strncmp(a, f, len) == 0
+                                        : std::strcmp(a, f) == 0;
+             }))
+      usage_error(a);
   }
   return opt;
 }

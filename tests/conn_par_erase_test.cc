@@ -22,6 +22,7 @@
 
 #include "connectivity/connectivity.h"
 #include "graph/generators.h"
+#include "pool_coverage.h"
 #include "seq/ufo_tree.h"
 #include "util/random.h"
 
@@ -220,6 +221,7 @@ TEST(ParallelBatchErase, GridShatterWithReplacements) {
 TEST(ParallelBatchErase, PowerLawChurn) {
   // Preferential-attachment graph: skewed degrees mean cut batches mix huge
   // and tiny pieces; interleave erase and re-insert waves.
+  const int64_t tasks_before = test::pool_tasks_run();
   constexpr size_t n = 300;
   Trio t(n);
   EdgeList edges = gen::social_graph(n, 4, 17);
@@ -241,6 +243,7 @@ TEST(ParallelBatchErase, PowerLawChurn) {
     t.insert_all(back);
     t.check(rng, 10);
   }
+  test::expect_pool_tasks_since(tasks_before);
 }
 
 TEST(ParallelBatchErase, FullComponentDeletion) {

@@ -14,6 +14,8 @@
 #include <mutex>
 #include <string>
 
+#include <unistd.h>
+
 #include "obs/json.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -168,7 +170,10 @@ TEST(ObsTrace, WritesChromeTraceJson) {
     static obs::SpanSite site("test.file_span");
     obs::SpanGuard g(site);
   }
-  const std::string path = "obs_test_trace.json";
+  // One file per process: CTest runs this binary at several worker counts
+  // concurrently in the same directory.
+  const std::string path =
+      "obs_test_trace." + std::to_string(getpid()) + ".json";
   ASSERT_TRUE(obs::TraceSession::write_chrome_trace(path));
   std::string content = slurp(path);
   std::remove(path.c_str());

@@ -21,6 +21,7 @@
 #include "graph/generators.h"
 #include "graph/ref_forest.h"
 #include "parallel/par_ufo_tree.h"
+#include "pool_coverage.h"
 #include "seq/ufo_tree.h"
 #include "util/random.h"
 
@@ -77,6 +78,7 @@ void full_audit(UfoTree& p, seq::UfoTree& s, size_t n, uint64_t seed,
 // where the old backend rebuilt the whole component and the path-granular
 // teardown must produce a hierarchy equivalent to seq's.
 TEST(ParTeardown, SmallBatchChurnAdversarialShapes) {
+  const int64_t tasks_before = test::pool_tasks_run();
   constexpr size_t n = 400;
   for (const auto& shape : adversarial_shapes(n)) {
     for (size_t k : {size_t{1}, size_t{3}, size_t{17}}) {
@@ -105,6 +107,7 @@ TEST(ParTeardown, SmallBatchChurnAdversarialShapes) {
       }
     }
   }
+  test::expect_pool_tasks_since(tasks_before);
 }
 
 // Single updates (batches of one) on a large standing component exercise

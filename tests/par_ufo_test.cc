@@ -23,6 +23,7 @@
 #include "graph/ref_forest.h"
 #include "parallel/par_ufo_tree.h"
 #include "parallel/scheduler.h"
+#include "pool_coverage.h"
 #include "seq/ufo_tree.h"
 #include "util/random.h"
 
@@ -52,6 +53,7 @@ TEST(ParUfo, SingleLinkCutSmoke) {
 }
 
 TEST(ParUfo, BuildInBatchesAllInputs) {
+  const int64_t tasks_before = test::pool_tasks_run();
   constexpr size_t n = 2000;
   for (auto& input : gen::synthetic_suite(n, 11)) {
     UfoTree t(n);
@@ -67,6 +69,7 @@ TEST(ParUfo, BuildInBatchesAllInputs) {
     EXPECT_TRUE(t.check_aggregates()) << input.name;
     EXPECT_TRUE(t.connected(0, static_cast<Vertex>(n - 1))) << input.name;
   }
+  test::expect_pool_tasks_since(tasks_before);
 }
 
 TEST(ParUfo, DestroyInBatches) {

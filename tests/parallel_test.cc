@@ -1,13 +1,18 @@
-// Tests for the fork-join runtime and parallel primitives.
+// Tests for the fork-join runtime and parallel primitives. CMake registers
+// this binary at 1, 2, and 4 workers plus the hardware default
+// (parallel_test / _t2 / _t4 / _tmax), since the pool's size is fixed at
+// process start.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <numeric>
 
 #include "parallel/hash_table.h"
 #include "parallel/list_ranking.h"
 #include "parallel/primitives.h"
 #include "parallel/scheduler.h"
+#include "pool_coverage.h"
 #include "util/random.h"
 
 namespace ufo::par {
@@ -15,19 +20,69 @@ namespace {
 
 TEST(Scheduler, NumWorkersPositive) { EXPECT_GE(num_workers(), 1); }
 
-TEST(Scheduler, ParallelForCoversRange) {
-  constexpr size_t n = 100000;
-  std::vector<std::atomic<int>> hits(n);
-  parallel_for(0, n, [&](size_t i) { hits[i].fetch_add(1); });
-  for (size_t i = 0; i < n; ++i) EXPECT_EQ(hits[i].load(), 1) << i;
+// A loop body whose cost is wall-clock time, independent of optimization
+// level or sanitizer slowdown.
+void spin_for(std::chrono::microseconds d) {
+  auto until = std::chrono::steady_clock::now() + d;
+  while (std::chrono::steady_clock::now() < until) {
+  }
 }
 
-TEST(Scheduler, ParallelForEmptyAndSingle) {
-  int count = 0;
-  parallel_for(5, 5, [&](size_t) { ++count; });
-  EXPECT_EQ(count, 0);
-  parallel_for(7, 8, [&](size_t i) { EXPECT_EQ(i, 7u); ++count; });
-  EXPECT_EQ(count, 1);
+// Every index exactly once, whether the adaptive prefix finishes the range
+// inline (trivial body) or stops after one index and forks the rest
+// (2 us body, above the inline threshold).
+TEST(Scheduler, ParallelForVisitsEachIndexOnce) {
+  for (bool heavy : {false, true}) {
+    for (size_t lo : {size_t{0}, size_t{13}}) {
+      for (size_t n : {0, 1, 2, 3, 7, 64, 1000, 100000}) {
+        std::vector<std::atomic<int>> hits(lo + n);
+        parallel_for(lo, lo + n, [&](size_t i) {
+          if (heavy) spin_for(std::chrono::microseconds(2));
+          hits[i].fetch_add(1, std::memory_order_relaxed);
+        });
+        for (size_t i = 0; i < lo + n; ++i)
+          ASSERT_EQ(hits[i].load(), i < lo ? 0 : 1)
+              << "heavy=" << heavy << " lo=" << lo << " n=" << n << " i=" << i;
+      }
+    }
+  }
+}
+
+// A short loop of cheap iterations costs less than a fork-join, so it runs
+// on the caller; telemetry builds also see that nothing reached the pool.
+TEST(Scheduler, TinyTrivialLoopStaysOnCaller) {
+  const int caller = worker_id();
+  std::atomic<bool> moved{false};
+  auto body = [&](size_t) {
+    if (worker_id() != caller) moved.store(true, std::memory_order_relaxed);
+  };
+  // Unoptimized sanitizer builds (TSan at -O0) make even this body cost
+  // about a microsecond per few calls, and then forking is the right call.
+  auto t0 = std::chrono::steady_clock::now();
+  for (size_t i = 0; i < 8; ++i) body(i);
+  if (std::chrono::steady_clock::now() - t0 >= internal::kInlineThreshold / 4)
+    GTEST_SKIP() << "this build makes the loop body too slow to be trivial";
+  const int64_t submits = test::sched_counter("sched.submits");
+  parallel_for(0, 16, body);
+  EXPECT_FALSE(moved.load());
+  EXPECT_EQ(test::sched_counter("sched.submits"), submits);
+}
+
+// A loop of heavy iterations still spreads over the pool. On a loaded host
+// (ctest -j) a woken worker may wait several scheduler periods for a CPU,
+// longer than one ~1.3 ms loop, so the loop is repeated for up to 2 s.
+TEST(Scheduler, HeavyLoopRunsOnOtherWorkers) {
+  if (num_workers() <= 1) GTEST_SKIP() << "pool has a single worker";
+  const int caller = worker_id();
+  std::atomic<bool> moved{false};
+  auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(2);
+  while (!moved.load() && std::chrono::steady_clock::now() < deadline) {
+    parallel_for(0, 256, [&](size_t) {
+      spin_for(std::chrono::microseconds(5));
+      if (worker_id() != caller) moved.store(true, std::memory_order_relaxed);
+    });
+  }
+  EXPECT_TRUE(moved.load());
 }
 
 TEST(Scheduler, ParDoRunsBoth) {
