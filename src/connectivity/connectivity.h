@@ -12,19 +12,22 @@
 //     the phase-concurrent hash table);
 //   * on insertion, an edge joining two components becomes a tree edge,
 //     otherwise a non-tree edge;
-//   * on deletion of a tree edge, a replacement-edge search scans the
-//     smaller split side for a non-tree edge leaving it and promotes it.
+//   * on deletion of tree edges, the level-synchronous replacement-edge
+//     search (replacement_search.h) runs doubling-radius smaller-side
+//     searches for every cut edge at once and promotes a non-tree edge
+//     leaving each split side, or certifies the side crossing-free.
 //
 // Batch operations preserve the Section 5 batch contract for the backend: a
 // batch_insert stages candidates through a union-find over the batch
 // endpoints (seeded with forest component ids), so the edges handed to
 // Backend::batch_link are mutually independent — any ordering is a valid
 // link sequence. batch_erase cuts all tree edges in one backend batch and
-// then runs replacement searches.
+// then runs one replacement search over all of them; single-edge erase is
+// the same search on a one-edge cut batch.
 //
 // Replacement-search invariant (why one pass suffices): during batch_erase,
 // cuts happen before any promotion, and afterwards components only merge.
-// For each cut edge {u, v} the search loop ends in one of two permanent
+// For each cut edge {u, v} the search ends in one of two permanent
 // states: u and v reconnected, or both of their components certified
 // crossing-free (every non-tree edge incident to a certified component
 // stays internal, and certified components never change again). A crossing
@@ -36,8 +39,9 @@
 //
 // Costs: insert/erase of a non-tree edge O(1) expected beyond the
 // connectivity query; tree-edge deletion O(min-side + incident non-tree
-// edges) for the search plus the backend cut — the pragmatic bound (no
-// HDT-style amortization), which the bench_connectivity sweep measures.
+// edges) for the search (within the doubling factor) plus the backend cut —
+// the pragmatic bound (no HDT-style amortization), which the
+// bench_connectivity sweep measures.
 #pragma once
 
 #include <concepts>
@@ -91,14 +95,6 @@ class GraphConnectivity {
   // meaningful for any workload that treats promoted edges as routes.
   const Backend& forest() const { return forest_; }
 
-  // Force batch_erase onto the serial one-pair-at-a-time replacement search
-  // (the reference implementation) instead of the level-synchronous parallel
-  // engine. Kept for differential testing and as an escape hatch.
-  void set_serial_replacement_search(bool serial) {
-    serial_replacement_ = serial;
-  }
-  bool serial_replacement_search() const { return serial_replacement_; }
-
   // Vertex annotations pass through to the backend when it supports them
   // (weights feed subtree aggregates, marks feed nearest-marked queries);
   // they never affect connectivity, so exposing them cannot desync the
@@ -141,7 +137,9 @@ class GraphConnectivity {
     if (forest_.connected(u, v)) {
       nontree_.insert(u, v);
     } else {
-      link_tree(u, v, w);
+      forest_.link(u, v, w);
+      tree_.insert(u, v);
+      --components_;
     }
     return true;
   }
@@ -154,10 +152,11 @@ class GraphConnectivity {
       weight_.erase(edge_key(u, v));
       return true;
     }
-    if (!tree_.contains(u, v)) return false;
+    if (!tree_.erase(u, v)) return false;
     weight_.erase(edge_key(u, v));
-    cut_tree(u, v);
-    reconnect(u, v, /*multi_piece=*/false);
+    forest_.cut(u, v);
+    ++components_;
+    find_replacements({Edge{u, v, Weight{1}}}, /*multi_piece=*/false);
     return true;
   }
 
@@ -246,9 +245,8 @@ class GraphConnectivity {
   // Erase a batch of edges. Absent edges and duplicates are filtered.
   // Non-tree removals are trivial; tree removals go through one backend
   // batch_cut, then replacement searches for all cut edges at once via the
-  // level-synchronous parallel engine (replacement_search.h) — or the serial
-  // reference loop when set_serial_replacement_search(true). Single pass
-  // either way — see the invariant argument in the header comment. Returns
+  // level-synchronous parallel engine (replacement_search.h). Single pass —
+  // see the invariant argument in the header comment. Returns
   // kDegradedAlloc if a bulk reservation failed along the way (the batch is
   // still fully applied through the sequential fallback).
   BatchStatus batch_erase(const EdgeList& edges) {
@@ -296,22 +294,8 @@ class GraphConnectivity {
     forest_.batch_cut(cut_batch);
     components_ += cut_batch.size();
     // One cut edge makes exactly two pieces; only larger cut batches can
-    // shatter a component and need the far-side certification pass.
-    bool multi_piece = cut_batch.size() > 1;
-    // Below about a dozen cut pairs the engine's round-synchronous machinery
-    // (lead refreshes, per-phase parallel launches) doesn't amortize; the
-    // serial doubling search wins outright. Hybrid cutover, same invariant.
-    if (serial_replacement_ || cut_batch.size() <= kSerialCutover) {
-      for (const Edge& e : cut_batch) reconnect(e.u, e.v, multi_piece);
-      return BatchStatus::kOk;
-    }
-    EdgeList unresolved;
-    BatchStatus st =
-        engine_.run(forest_, tree_, nontree_, weight_, cut_batch, n_,
-                    multi_piece, &components_, &unresolved);
-    // Safety valve fired (should not happen): settle leftovers serially.
-    for (const Edge& e : unresolved) reconnect(e.u, e.v, multi_piece);
-    return st;
+    // shatter a component and need the both-sides certification rule.
+    return find_replacements(cut_batch, /*multi_piece=*/cut_batch.size() > 1);
   }
 
   // --- Introspection --------------------------------------------------------
@@ -484,12 +468,6 @@ class GraphConnectivity {
         { b.subtree_size(x, p) } -> std::convertible_to<size_t>;
       };
 
-  void link_tree(Vertex u, Vertex v, Weight w) {
-    forest_.link(u, v, w);
-    tree_.insert(u, v);
-    --components_;
-  }
-
   // Bulk-insert `edges` into `store`: reserve once + parallel inserts, or,
   // when the reservation's allocation fails, degrade to sequential
   // per-edge inserts (each grows incrementally, so a failed bulk
@@ -538,16 +516,6 @@ class GraphConnectivity {
     return recovery::RecoveryError::kNone;
   }
 
-  void cut_tree(Vertex u, Vertex v) {
-    tree_.erase(u, v);
-    forest_.cut(u, v);
-    ++components_;
-  }
-
-  Weight weight_of(Vertex u, Vertex v) const {
-    return weight_.get(edge_key(u, v), Weight{1});
-  }
-
   // Pre-unite staged endpoints that share a forest component. Fast path: one
   // component_id per endpoint (computed in parallel) and a group-by. Generic
   // backends fall back to representative scanning with pairwise connected()
@@ -592,103 +560,37 @@ class GraphConnectivity {
     }
   }
 
-  // Two-sided BFS over tree edges from the freshly separated u and v; the
-  // side whose frontier exhausts first is the smaller component and is
-  // returned in `side`/`order`. Returns 0 for u's side, 1 for v's. Cost is
-  // O(min(|side(u)|, |side(v)|)) tree-edge traversals.
-  int smaller_side(Vertex u, Vertex v, std::unordered_set<Vertex>* side,
-                   std::vector<Vertex>* order) const {
-    std::unordered_set<Vertex> vis[2] = {{u}, {v}};
-    std::vector<Vertex> queue[2] = {{u}, {v}};
-    size_t head[2] = {0, 0};
-    for (;;) {
-      for (int s = 0; s < 2; ++s) {
-        if (head[s] == queue[s].size()) {
-          *side = std::move(vis[s]);
-          *order = std::move(queue[s]);
-          return s;
-        }
-        Vertex x = queue[s][head[s]++];
-        tree_.for_each_neighbor(x, [&](Vertex y) {
-          if (vis[s].insert(y).second) queue[s].push_back(y);
-        });
-      }
-    }
-  }
-
-  // Scan `side` (a full component, `order` = its vertices) for non-tree
-  // edges leaving it and promote every one found to a tree edge. A
-  // promotion merges the attached piece into `side`, and its vertices join
-  // the scan — each vertex is scanned once, so a shattered component is
-  // re-absorbed in time linear in its size rather than quadratically
-  // (re-collecting after every promotion). If tu != kNoVertex, stops early
-  // once tu and tv are connected and returns true; returns false when the
-  // scan exhausts, i.e. `side` has become a certified crossing-free
-  // component.
-  bool sweep_and_promote(std::unordered_set<Vertex>* side,
-                         std::vector<Vertex>* order, Vertex tu, Vertex tv) {
-    for (size_t i = 0; i < order->size();) {
-      Vertex x = (*order)[i];
-      Vertex found_y = kNoVertex;
-      UFO_STAT("conn.replacement_scanned", 1);
-      nontree_.for_each_neighbor(x, [&](Vertex y) {
-        if (found_y == kNoVertex && !side->count(y)) found_y = y;
+  // Replacement search for the tree edges in `cut`, already cut from
+  // forest_ and tree_ and counted in components_. If the engine's
+  // zero-progress safety valve fires (unreachable by the termination
+  // argument in DESIGN.md), every non-tree edge that now crosses forest
+  // components is re-filed through batch_insert, whose staging promotes a
+  // spanning subset and keeps the rest as intra-component non-tree edges:
+  // O(m), and correct whatever state the engine left.
+  BatchStatus find_replacements(const EdgeList& cut, bool multi_piece) {
+    bool stalled = false;
+    BatchStatus st = engine_.run(forest_, tree_, nontree_, weight_, cut, n_,
+                                 multi_piece, &components_, &stalled);
+    if (!stalled) return st;
+    EdgeList crossing;
+    for (Vertex v = 0; v < n_; ++v)
+      nontree_.for_each_neighbor(v, [&](Vertex y) {
+        if (v < y && !forest_.connected(v, y))
+          crossing.push_back(Edge{v, y, weight_.get(edge_key(v, y), 1)});
       });
-      if (found_y == kNoVertex) {
-        ++i;  // x has no crossing edges; side only grows, so this is final
-        continue;
-      }
-      nontree_.erase(x, found_y);
-      UFO_STAT("conn.promotions", 1);
-      link_tree(x, found_y, weight_of(x, found_y));
-      if (tu != kNoVertex && forest_.connected(tu, tv)) return true;
-      // Absorb the attached piece; do not advance i — x may cross again.
-      size_t grow = order->size();
-      if (side->insert(found_y).second) order->push_back(found_y);
-      for (; grow < order->size(); ++grow) {
-        tree_.for_each_neighbor((*order)[grow], [&](Vertex y) {
-          if (side->insert(y).second) order->push_back(y);
-        });
-      }
-    }
-    return false;
-  }
-
-  // Replacement search after cutting tree edge {u, v}; see the header
-  // comment for the termination/correctness argument. The pair ends in a
-  // permanent state: reconnected, or both sides certified crossing-free.
-  // multi_piece: a batch cut may have shattered the component into > 2
-  // pieces, so a certified near side does not imply the far side is clean.
-  void reconnect(Vertex u, Vertex v, bool multi_piece) {
-    if (forest_.connected(u, v)) return;  // an earlier replacement rejoined
-    UFO_STAT("conn.replacement_searches", 1);
-    std::unordered_set<Vertex> side;
-    std::vector<Vertex> order;
-    int s = smaller_side(u, v, &side, &order);
-    if (sweep_and_promote(&side, &order, u, v)) return;
-    // The near side is a complete component: u and v are truly split. A
-    // single cut makes exactly two pieces, and every crossing edge has an
-    // endpoint in the near side, so an exhausted near sweep already proves
-    // the far side clean — the O(far side) pass below is batch-only.
-    if (!multi_piece) return;
-    Vertex far = (s == 0) ? v : u;
-    collect_component(far, &side, &order);
-    sweep_and_promote(&side, &order, kNoVertex, kNoVertex);
+    for (const Edge& e : crossing) nontree_.erase(e.u, e.v);
+    if (batch_insert(crossing) == BatchStatus::kDegradedAlloc)
+      st = BatchStatus::kDegradedAlloc;
+    return st;
   }
 
   size_t n_;
   Backend forest_;           // spanning forest (tree edges only)
   EdgeStore tree_;           // its adjacency, for O(1) membership + BFS
   EdgeStore nontree_;        // replacement-edge candidates
-  // Cut batches at or below this many pairs run the serial search even in
-  // parallel mode (see batch_erase); 12 keeps a 16-spoke star batch on the
-  // engine while routing barely-shattering batches around its fixed cost.
-  static constexpr size_t kSerialCutover = 12;
-
   par::ConcurrentMap weight_;  // edge key -> weight, all edges
   size_t components_;
   ReplacementSearch<Backend> engine_;  // pooled parallel replacement search
-  bool serial_replacement_ = false;
 };
 
 static_assert(core::GraphConnectivity<GraphConnectivity<seq::UfoTree>>);

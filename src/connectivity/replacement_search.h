@@ -2,9 +2,10 @@
 //
 // After a batch_cut, every cut pair {u, v} needs either a replacement edge
 // (reconnecting the split) or a certificate that its components carry no
-// crossing non-tree edge. The serial scheme (connectivity.h's reconnect)
-// handles cut edges one at a time; this engine processes all of them
-// concurrently in rounds, combining two classic ideas:
+// crossing non-tree edge. This engine is the connectivity layer's one
+// replacement search: it serves single-edge erase (a one-pair batch) and
+// every cut batch, processing all pairs concurrently in rounds, combining
+// two classic ideas:
 //
 //   * doubling-radius smaller-side search (HDT-style): each side of each cut
 //     pair runs a budgeted BFS over tree edges; the budget doubles every
@@ -42,7 +43,9 @@
 // completeness/cleanliness then covers the inherited territory.
 //
 // All per-batch state (claim table, frontier arena, union-finds, flat
-// scratch) is pooled across batches and accounted in memory_bytes().
+// scratch) is pooled across batches and accounted in memory_bytes(). Short
+// phases cost little on one or a few pairs: par::parallel_for runs short
+// loops inline.
 #pragma once
 
 #include <algorithm>
@@ -61,6 +64,7 @@
 #include "parallel/hash_table.h"
 #include "parallel/primitives.h"
 #include "parallel/scheduler.h"
+#include "util/fault.h"
 #include "util/union_find.h"
 
 namespace ufo::conn {
@@ -76,14 +80,15 @@ class ReplacementSearch {
  public:
   // Run replacement searches for `cut_batch` (the tree edges just cut from
   // `forest`; their tree_ entries already erased). Promoted edges move from
-  // `nontree` to `tree` and decrement *components. Pairs the engine could
-  // not settle (the zero-progress safety valve fired) are appended to
-  // *unresolved for the caller's serial fallback. `n` is the vertex count,
-  // `multi_piece` the batch's certification rule (see connectivity.h).
+  // `nontree` to `tree` and decrement *components. *stalled is set when
+  // the zero-progress safety valve stopped the search with pairs still
+  // unsettled; the caller then repairs the forest (connectivity.h). `n` is
+  // the vertex count, `multi_piece` the batch's certification rule (see
+  // connectivity.h).
   BatchStatus run(Backend& forest, EdgeStore& tree, EdgeStore& nontree,
                   const par::ConcurrentMap& weights, const EdgeList& cut_batch,
                   size_t n, bool multi_piece, size_t* components,
-                  EdgeList* unresolved) {
+                  bool* stalled) {
     UFO_SPAN("conn.search");
     BatchStatus status = BatchStatus::kOk;
     const size_t k = cut_batch.size();
@@ -207,7 +212,7 @@ class ReplacementSearch {
       }
       size_t items = item_vertex_.size();
       cand_y_.assign(items, kNoVertex);
-      par::parallel_for(0, items, [&](size_t j) {
+      auto scan = [&](size_t j) {
         Vertex x = item_vertex_[j];
         uint32_t r = item_group_[j];
         Vertex found = kNoVertex;
@@ -219,21 +224,50 @@ class ReplacementSearch {
           if (o == par::ClaimTable::kUnclaimed || lead_[o] != r) found = y;
         });
         cand_y_[j] = found;
-      });
-      UFO_STAT("conn.replacement_scanned", static_cast<int64_t>(items));
+      };
+      [[maybe_unused]] size_t scanned = items;
+      if (multi_piece) {
+        par::parallel_for(0, items, scan);
+      } else {
+        // A single cut makes exactly two pieces, so its first crossing edge
+        // reconnects them: scan in order and stop there. Vertices left
+        // unscanned stay pending, so they never count as certified clean.
+        size_t j = 0;
+        while (j < items) {
+          scan(j);
+          if (cand_y_[j++] != kNoVertex) break;
+        }
+        scanned = j;
+        std::fill(cand_y_.begin() + static_cast<ptrdiff_t>(j), cand_y_.end(),
+                  kUnscanned);
+      }
+      UFO_STAT("conn.replacement_scanned", static_cast<int64_t>(scanned));
 
       // Rebuild pending lists: crossing-free vertices leave permanently,
       // emitters stay (their candidate may lose staging and need a rescan).
+      // A group's claims lie in one forest component, so staging would
+      // accept at most one of its candidates per target group: keep one
+      // per target group, plus one into unclaimed territory, and spare
+      // staging the rest's component lookups. Items are contiguous per
+      // group, so last_emit_ only needs the last emitting group per target.
       size_t pending_drops = 0;
       EdgeList cands;
+      last_emit_.assign(S + 1, par::ClaimTable::kUnclaimed);
       for (uint32_t s : scan_roots_) arena_.at(ph_[s]).clear();
       for (size_t j = 0; j < items; ++j) {
-        if (cand_y_[j] == kNoVertex) {
+        Vertex y = cand_y_[j];
+        if (y == kNoVertex) {
           ++pending_drops;
-        } else {
-          arena_.at(ph_[item_group_[j]]).push_back(item_vertex_[j]);
-          cands.push_back(Edge{item_vertex_[j], cand_y_[j], Weight{1}});
+          continue;
         }
+        uint32_t r = item_group_[j];
+        arena_.at(ph_[r]).push_back(item_vertex_[j]);
+        if (y == kUnscanned) continue;
+        uint32_t o = claims_.owner_of(y);
+        uint32_t target = o == par::ClaimTable::kUnclaimed ? S : lead_[o];
+        if (last_emit_[target] == r) continue;
+        last_emit_[target] = r;
+        cands.push_back(Edge{item_vertex_[j], y, Weight{1}});
       }
 
       // --- Phase D: bulk promotion -------------------------------------
@@ -327,16 +361,17 @@ class ReplacementSearch {
       UFO_STAT("conn.radius_doublings", static_cast<int64_t>(doublings));
 
       // Safety valve: a round that moved nothing cannot start moving (all
-      // quantities are monotone); hand the leftovers to the serial path
-      // rather than spin. Unreachable by the termination argument in
-      // DESIGN.md, but cheap insurance against it being wrong.
-      if (pops.load() == 0 && merges == 0 && promoted == 0 &&
-          newly_done == 0 && pending_drops == 0)
+      // quantities are monotone); stop rather than spin and let the caller
+      // repair. Unreachable by the termination argument in DESIGN.md, but
+      // cheap insurance against it being wrong. The conn.search.stall
+      // fault site forces it so tests can reach the repair.
+      if (UFO_FAULT_POINT("conn.search.stall") ||
+          (pops.load() == 0 && merges == 0 && promoted == 0 &&
+           newly_done == 0 && pending_drops == 0))
         break;
     }
 
-    for (size_t i = 0; i < k; ++i)
-      if (!done_[i]) unresolved->push_back(cut_batch[i]);
+    *stalled = undone > 0;
     for (uint32_t s = 0; s < S; ++s) {
       if (qh_[s] == kNone) continue;
       arena_.release(qh_[s]);
@@ -355,7 +390,8 @@ class ReplacementSearch {
                    arena_.memory_bytes() + vec(qh_) + vec(ph_) + vec(head_) +
                    vec(budget_) + vec(complete_) + vec(done_) + vec(lead_) +
                    vec(served_) + vec(expand_roots_) + vec(scan_roots_) +
-                   vec(item_group_) + vec(item_vertex_) + vec(cand_y_);
+                   vec(item_group_) + vec(item_vertex_) + vec(cand_y_) +
+                   vec(last_emit_);
     for (const auto& m : mreq_) total += vec(m);
     total += mreq_.capacity() * sizeof(std::vector<uint32_t>);
     return total;
@@ -366,6 +402,9 @@ class ReplacementSearch {
   // a hop or two stop after one cheap round; doubling reaches any radius in
   // log rounds anyway.
   static constexpr size_t kInitialBudget = 8;
+  // Scan result of a vertex the single-cut early exit skipped (vertex ids
+  // stay below kNoVertex - 1).
+  static constexpr Vertex kUnscanned = kNoVertex - 1;
   static constexpr par::FrontierArena::Handle kNone = par::FrontierArena::kNone;
   static constexpr bool kHasComponentId =
       requires(const Backend& b, Vertex x) {
@@ -479,6 +518,8 @@ class ReplacementSearch {
                                 // snapshot (find() mutates; no concurrent use)
   std::vector<std::vector<uint32_t>> mreq_;  // per-root merge requests
   std::vector<uint32_t> expand_roots_, scan_roots_, item_group_;
+  std::vector<uint32_t> last_emit_;  // target group (S: unclaimed) -> last
+                                     // group that emitted a candidate into it
   std::vector<Vertex> item_vertex_, cand_y_;
 };
 

@@ -1,14 +1,19 @@
-// A phase-concurrent open-addressing hash set for 64-bit keys, in the style
+// Phase-concurrent open-addressing hash tables for 64-bit keys, in the style
 // of Gil--Matias--Vishkin / the ParlayLib hash table: concurrent inserts are
 // lock-free (linear probing with CAS), deletes use tombstones, and resizing
 // happens only at phase boundaries (single-threaded callers). This matches
 // how the paper's batch-update algorithms use tables: one phase inserts, a
 // barrier, then another phase reads or deletes.
+//
+// One probing core, ProbeTable<V>, backs both public tables: ConcurrentSet
+// (V = void: keys only) and ConcurrentMap (V = int64_t: a value array
+// parallel to the keys).
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <new>
+#include <type_traits>
 #include <vector>
 
 #include "obs/metrics.h"
@@ -17,102 +22,99 @@
 
 namespace ufo::par {
 
-class ConcurrentSet {
+namespace internal {
+struct NoValues {};  // the set's value "array": empty, takes no space
+}  // namespace internal
+
+// Concurrency contract, both instantiations: concurrent inserts (for a
+// map, of distinct keys) and concurrent erases are safe within a phase,
+// lookups are safe in read phases, and capacity growth happens only at
+// phase boundaries. A map value written by insert_concurrent becomes
+// visible to readers after the phase barrier (the fork-join join publishes
+// it); phases that mix inserts and reads of the same key are not
+// supported, matching how the connectivity layer uses it (bulk weight
+// writes, then queries).
+template <class V>
+class ProbeTable {
+  static constexpr bool kMap = !std::is_void_v<V>;
+
  public:
+  using Value = std::conditional_t<kMap, V, internal::NoValues>;
+
   static constexpr uint64_t kEmpty = ~0ULL;
   static constexpr uint64_t kTombstone = ~0ULL - 1;
 
-  explicit ConcurrentSet(size_t capacity_hint = 16) { reserve(capacity_hint); }
+  explicit ProbeTable(size_t capacity_hint = 16) { reserve(capacity_hint); }
 
-  ConcurrentSet(const ConcurrentSet& other) { copy_from(other); }
-  ConcurrentSet& operator=(const ConcurrentSet& other) {
+  ProbeTable(const ProbeTable& other) { copy_from(other); }
+  ProbeTable& operator=(const ProbeTable& other) {
     if (this != &other) copy_from(other);
     return *this;
   }
 
-  // Phase-concurrent insert. Returns true if the key was newly inserted.
-  // Keys kEmpty/kTombstone are reserved. The caller must guarantee enough
-  // capacity (use reserve() at a phase boundary before a concurrent phase).
-  bool insert(uint64_t key) {
-    size_t mask = slots_.size() - 1;
-    size_t i = util::hash64(key) & mask;
-    // Scan the full probe chain before claiming a tombstone: the key may
-    // sit past tombstones left by earlier erases, and claiming the first
-    // tombstone would duplicate it (a later erase would remove only one
-    // copy and contains() would still find the other).
-    size_t tomb = SIZE_MAX;
-    UFO_OBS_ONLY(int64_t probes = 1;)
-    for (;;) {
-      uint64_t cur = slots_[i].load(std::memory_order_relaxed);
-      if (cur == key) {
-        UFO_STAT_HIST("hash.set.probe_len", probes);
-        return false;
-      }
-      if (cur == kTombstone && tomb == SIZE_MAX) tomb = i;
-      if (cur == kEmpty) {
-        size_t target = tomb != SIZE_MAX ? tomb : i;
-        uint64_t expected = slots_[target].load(std::memory_order_relaxed);
-        if (expected != kEmpty && expected != kTombstone) {
-          // Lost the remembered slot to a concurrent insert; rescan.
-          UFO_STAT("hash.set.cas_retries", 1);
-          tomb = SIZE_MAX;
-          i = util::hash64(key) & mask;
-          continue;
-        }
-        if (slots_[target].compare_exchange_strong(
-                expected, key, std::memory_order_acq_rel)) {
-          if (expected == kTombstone)
-            tombs_.fetch_sub(1, std::memory_order_relaxed);
-          size_.fetch_add(1, std::memory_order_relaxed);
-          UFO_STAT("hash.set.inserts", 1);
-          UFO_STAT_HIST("hash.set.probe_len", probes);
-          return true;
-        }
-        UFO_STAT("hash.set.cas_retries", 1);
-        if (expected == key) return false;
-        continue;  // raced on the slot; retry
-      }
-      UFO_OBS_ONLY(++probes;)
-      i = (i + 1) & mask;
-    }
+  // Set: phase-concurrent insert. Returns true if the key was newly
+  // inserted. Keys kEmpty/kTombstone are reserved. The caller must
+  // guarantee enough capacity (use reserve() at a phase boundary before a
+  // concurrent phase).
+  bool insert(uint64_t key)
+    requires(!kMap)
+  {
+    return put(key, Value{});
+  }
+
+  // Map: phase-concurrent insert-or-assign; keys must be distinct across
+  // concurrent callers and capacity pre-reserved. Returns true iff the key
+  // was absent.
+  bool insert_concurrent(uint64_t key, Value value)
+    requires kMap
+  {
+    return put(key, value);
+  }
+
+  // Map: sequential insert-or-assign; grows on demand.
+  bool insert_or_assign(uint64_t key, Value value)
+    requires kMap
+  {
+    reserve(1);
+    return put(key, value);
   }
 
   // Phase-concurrent erase (tombstone). Returns true if the key was present.
   bool erase(uint64_t key) {
-    size_t mask = slots_.size() - 1;
+    size_t mask = keys_.size() - 1;
     size_t i = util::hash64(key) & mask;
     for (;;) {
-      uint64_t cur = slots_[i].load(std::memory_order_relaxed);
+      uint64_t cur = keys_[i].load(std::memory_order_relaxed);
       if (cur == kEmpty) return false;
       if (cur == key) {
         uint64_t expected = key;
-        if (slots_[i].compare_exchange_strong(expected, kTombstone,
-                                              std::memory_order_acq_rel)) {
+        if (keys_[i].compare_exchange_strong(expected, kTombstone,
+                                             std::memory_order_acq_rel)) {
           tombs_.fetch_add(1, std::memory_order_relaxed);
           size_.fetch_sub(1, std::memory_order_relaxed);
-          UFO_STAT("hash.set.erases", 1);
+          if constexpr (!kMap) UFO_STAT("hash.set.erases", 1);
           return true;
         }
-        UFO_STAT("hash.set.cas_retries", 1);
+        if constexpr (!kMap) UFO_STAT("hash.set.cas_retries", 1);
         continue;
       }
       i = (i + 1) & mask;
     }
   }
 
-  bool contains(uint64_t key) const {
-    size_t mask = slots_.size() - 1;
-    size_t i = util::hash64(key) & mask;
-    for (;;) {
-      uint64_t cur = slots_[i].load(std::memory_order_relaxed);
-      if (cur == key) return true;
-      if (cur == kEmpty) return false;
-      i = (i + 1) & mask;
-    }
+  bool contains(uint64_t key) const { return slot_of(key) != SIZE_MAX; }
+
+  // Map: value for `key`, or `fallback` when absent (read phase).
+  Value get(uint64_t key, Value fallback) const
+    requires kMap
+  {
+    size_t i = slot_of(key);
+    return i == SIZE_MAX ? fallback : vals_[i].load(std::memory_order_relaxed);
   }
 
   size_t size() const { return size_.load(std::memory_order_relaxed); }
-  size_t capacity() const { return slots_.size(); }
+  bool empty() const { return size() == 0; }
+  size_t capacity() const { return keys_.size(); }
   size_t tombstones() const { return tombs_.load(std::memory_order_relaxed); }
 
   // Largest representable table size (the top power of two of size_t).
@@ -149,22 +151,33 @@ class ConcurrentSet {
     size_t want = capacity_for(size(), n);
     // In this branch want <= capacity, so size() + n <= capacity/2 and the
     // occupancy sum below cannot overflow.
-    if (want <= slots_.size() &&
-        size() + tombstones() + n <= slots_.size() / 2)
+    if (want <= keys_.size() && size() + tombstones() + n <= keys_.size() / 2)
       return;  // roomy enough, even counting tombstoned slots
-    UFO_STAT("hash.set.resizes", 1);
-    std::vector<uint64_t> live = elements();
-    std::vector<std::atomic<uint64_t>> fresh(want);
-    slots_.swap(fresh);
-    for (auto& s : slots_) s.store(kEmpty, std::memory_order_relaxed);
+    UFO_STAT(kMap ? "hash.map.resizes" : "hash.set.resizes", 1);
+    // Allocate the new arrays before touching the table, so a bad_alloc
+    // leaves it as it was (try_reserve relies on that); after the swaps
+    // `keys`/`vals` hold the old table, rehashed from below.
+    std::vector<std::atomic<uint64_t>> keys(want);
+    Values vals;
+    if constexpr (kMap) vals = Values(want);
+    for (auto& s : keys) s.store(kEmpty, std::memory_order_relaxed);
+    keys_.swap(keys);
+    if constexpr (kMap) vals_.swap(vals);
     size_.store(0, std::memory_order_relaxed);
     tombs_.store(0, std::memory_order_relaxed);
-    for (uint64_t k : live) insert(k);
+    for (size_t i = 0; i < keys.size(); ++i) {
+      uint64_t k = keys[i].load(std::memory_order_relaxed);
+      if (k == kEmpty || k == kTombstone) continue;
+      if constexpr (kMap)
+        put(k, vals[i].load(std::memory_order_relaxed));
+      else
+        put(k, Value{});
+    }
   }
 
   // reserve() with the allocation failure surfaced as a return value
-  // instead of bad_alloc. The set is untouched on failure (the new table
-  // is allocated before anything is torn down), so callers can degrade —
+  // instead of bad_alloc. The table is untouched on failure (the new arrays
+  // are allocated before anything is torn down), so callers can degrade —
   // e.g. fall back to incremental per-edge growth — rather than terminate.
   bool try_reserve(size_t n) noexcept {
     if (UFO_FAULT_POINT("hash.reserve")) return false;
@@ -176,50 +189,146 @@ class ConcurrentSet {
     }
   }
 
-  // Snapshot of live keys (single-threaded or read-only phase).
-  std::vector<uint64_t> elements() const {
+  // Set: snapshot of live keys (single-threaded or read-only phase).
+  std::vector<uint64_t> elements() const
+    requires(!kMap)
+  {
     std::vector<uint64_t> out;
     out.reserve(size());
-    for (const auto& s : slots_) {
-      uint64_t v = s.load(std::memory_order_relaxed);
-      if (v != kEmpty && v != kTombstone) out.push_back(v);
-    }
+    for_each([&](uint64_t k) { out.push_back(k); });
     return out;
   }
 
-  // Visit every live key (read-only phase).
+  // Visit every live key — f(key) for a set, f(key, value) for a map
+  // (read-only phase).
   template <class F>
   void for_each(F&& f) const {
-    for (const auto& s : slots_) {
-      uint64_t v = s.load(std::memory_order_relaxed);
-      if (v != kEmpty && v != kTombstone) f(v);
+    // Locals, not keys_: `f` may write through references the compiler
+    // cannot tell apart from keys_, which would reload it every slot.
+    const std::atomic<uint64_t>* keys = keys_.data();
+    const size_t cap = keys_.size();
+    for (size_t i = 0; i < cap; ++i) {
+      uint64_t k = keys[i].load(std::memory_order_relaxed);
+      if (k == kEmpty || k == kTombstone) continue;
+      if constexpr (kMap)
+        f(k, vals_[i].load(std::memory_order_relaxed));
+      else
+        f(k);
     }
   }
 
   void clear() {
-    for (auto& s : slots_) s.store(kEmpty, std::memory_order_relaxed);
+    for (auto& s : keys_) s.store(kEmpty, std::memory_order_relaxed);
     size_.store(0, std::memory_order_relaxed);
     tombs_.store(0, std::memory_order_relaxed);
   }
 
   size_t memory_bytes() const {
-    return slots_.size() * sizeof(std::atomic<uint64_t>) + sizeof(*this);
+    size_t total =
+        sizeof(*this) + keys_.size() * sizeof(std::atomic<uint64_t>);
+    if constexpr (kMap) total += vals_.size() * sizeof(std::atomic<Value>);
+    return total;
   }
 
  private:
-  void copy_from(const ConcurrentSet& other) {
-    slots_ = std::vector<std::atomic<uint64_t>>(other.slots_.size());
-    for (size_t i = 0; i < slots_.size(); ++i)
-      slots_[i].store(other.slots_[i].load(std::memory_order_relaxed),
-                      std::memory_order_relaxed);
+  using Values = std::conditional_t<kMap, std::vector<std::atomic<Value>>,
+                                    internal::NoValues>;
+
+  // The one insert loop. Returns true iff `key` was absent; a map also
+  // stores `value` in the key's slot either way.
+  bool put(uint64_t key, [[maybe_unused]] Value value) {
+    auto store = [&](size_t slot) {
+      if constexpr (kMap) vals_[slot].store(value, std::memory_order_relaxed);
+    };
+    size_t mask = keys_.size() - 1;
+    size_t i = util::hash64(key) & mask;
+    // Scan the full probe chain before claiming a tombstone: the key may
+    // sit past tombstones left by earlier erases, and claiming the first
+    // tombstone would duplicate it (a later erase would remove only one
+    // copy and contains() would still find the other).
+    size_t tomb = SIZE_MAX;
+    UFO_OBS_ONLY([[maybe_unused]] int64_t probes = 1;)
+    for (;;) {
+      uint64_t cur = keys_[i].load(std::memory_order_relaxed);
+      if (cur == key) {
+        store(i);
+        if constexpr (!kMap) UFO_STAT_HIST("hash.set.probe_len", probes);
+        return false;
+      }
+      if (cur == kTombstone && tomb == SIZE_MAX) tomb = i;
+      if (cur == kEmpty) {
+        size_t target = tomb != SIZE_MAX ? tomb : i;
+        uint64_t expected = keys_[target].load(std::memory_order_relaxed);
+        if (expected != kEmpty && expected != kTombstone) {
+          // Lost the remembered slot to a concurrent insert; rescan.
+          if constexpr (!kMap) UFO_STAT("hash.set.cas_retries", 1);
+          tomb = SIZE_MAX;
+          i = util::hash64(key) & mask;
+          continue;
+        }
+        if (keys_[target].compare_exchange_strong(
+                expected, key, std::memory_order_acq_rel)) {
+          store(target);
+          if (expected == kTombstone)
+            tombs_.fetch_sub(1, std::memory_order_relaxed);
+          size_.fetch_add(1, std::memory_order_relaxed);
+          if constexpr (!kMap) {
+            UFO_STAT("hash.set.inserts", 1);
+            UFO_STAT_HIST("hash.set.probe_len", probes);
+          }
+          return true;
+        }
+        if constexpr (!kMap) UFO_STAT("hash.set.cas_retries", 1);
+        if (expected == key) {
+          store(target);
+          return false;
+        }
+        continue;  // raced on the slot; retry
+      }
+      UFO_OBS_ONLY(++probes;)
+      i = (i + 1) & mask;
+    }
+  }
+
+  // The one find loop: key's slot, or SIZE_MAX when absent.
+  size_t slot_of(uint64_t key) const {
+    size_t mask = keys_.size() - 1;
+    size_t i = util::hash64(key) & mask;
+    for (;;) {
+      uint64_t cur = keys_[i].load(std::memory_order_relaxed);
+      if (cur == key) return i;
+      if (cur == kEmpty) return SIZE_MAX;
+      i = (i + 1) & mask;
+    }
+  }
+
+  void copy_from(const ProbeTable& other) {
+    auto copy = [](auto& dst, const auto& src) {
+      dst = std::remove_reference_t<decltype(dst)>(src.size());
+      for (size_t i = 0; i < src.size(); ++i)
+        dst[i].store(src[i].load(std::memory_order_relaxed),
+                     std::memory_order_relaxed);
+    };
+    copy(keys_, other.keys_);
+    if constexpr (kMap) copy(vals_, other.vals_);
     size_.store(other.size(), std::memory_order_relaxed);
     tombs_.store(other.tombstones(), std::memory_order_relaxed);
   }
 
-  std::vector<std::atomic<uint64_t>> slots_;
+  std::vector<std::atomic<uint64_t>> keys_;
+  [[no_unique_address]] Values vals_;
   std::atomic<size_t> size_{0};
   std::atomic<size_t> tombs_{0};
 };
+
+using ConcurrentSet = ProbeTable<void>;
+using ConcurrentMap = ProbeTable<int64_t>;
+
+// EdgeStore keeps two per-vertex vectors of sets: the set must carry no
+// value storage beyond its key array and two counters.
+static_assert(sizeof(ConcurrentSet) <=
+              sizeof(std::vector<std::atomic<uint64_t>>) +
+                  2 * sizeof(std::atomic<size_t>));
 
 // Per-slot ownership claims for phase-concurrent algorithms: many tasks race
 // to claim the same dense id (a cluster, a teardown walk target, a graph
@@ -303,193 +412,6 @@ class ClaimTable {
  private:
   std::vector<std::atomic<uint64_t>> slots_;
   uint64_t epoch_ = 0;  // low 32 bits of slots hold the owner, high the epoch
-};
-
-// A phase-concurrent open-addressing map from 64-bit keys to 64-bit values,
-// sharing ConcurrentSet's concurrency contract: concurrent inserts of
-// *distinct* keys and concurrent erases are safe within a phase, lookups are
-// safe in read phases, and capacity growth happens only at phase boundaries.
-// A value written by insert_concurrent becomes visible to readers after the
-// phase barrier (the fork-join join publishes it); phases that mix inserts
-// and reads of the same key are not supported, matching how the connectivity
-// layer uses it (bulk weight writes, then queries).
-class ConcurrentMap {
- public:
-  static constexpr uint64_t kEmpty = ConcurrentSet::kEmpty;
-  static constexpr uint64_t kTombstone = ConcurrentSet::kTombstone;
-
-  explicit ConcurrentMap(size_t capacity_hint = 16) { reserve(capacity_hint); }
-
-  ConcurrentMap(const ConcurrentMap& other) { copy_from(other); }
-  ConcurrentMap& operator=(const ConcurrentMap& other) {
-    if (this != &other) copy_from(other);
-    return *this;
-  }
-
-  // Phase-concurrent insert; keys must be distinct across concurrent
-  // callers and capacity pre-reserved. Returns true iff the key was absent.
-  bool insert_concurrent(uint64_t key, int64_t value) {
-    size_t mask = keys_.size() - 1;
-    size_t i = util::hash64(key) & mask;
-    size_t tomb = SIZE_MAX;
-    for (;;) {
-      uint64_t cur = keys_[i].load(std::memory_order_relaxed);
-      if (cur == key) {
-        vals_[i].store(value, std::memory_order_relaxed);
-        return false;
-      }
-      if (cur == kTombstone && tomb == SIZE_MAX) tomb = i;
-      if (cur == kEmpty) {
-        size_t target = tomb != SIZE_MAX ? tomb : i;
-        uint64_t expected = keys_[target].load(std::memory_order_relaxed);
-        if (expected != kEmpty && expected != kTombstone) {
-          tomb = SIZE_MAX;  // lost the remembered slot; rescan
-          i = util::hash64(key) & mask;
-          continue;
-        }
-        if (keys_[target].compare_exchange_strong(
-                expected, key, std::memory_order_acq_rel)) {
-          vals_[target].store(value, std::memory_order_relaxed);
-          if (expected == kTombstone)
-            tombs_.fetch_sub(1, std::memory_order_relaxed);
-          size_.fetch_add(1, std::memory_order_relaxed);
-          return true;
-        }
-        if (expected == key) {
-          vals_[target].store(value, std::memory_order_relaxed);
-          return false;
-        }
-        continue;  // raced on the slot; retry
-      }
-      i = (i + 1) & mask;
-    }
-  }
-
-  // Sequential insert-or-assign; grows on demand.
-  bool insert_or_assign(uint64_t key, int64_t value) {
-    reserve(1);
-    return insert_concurrent(key, value);
-  }
-
-  // Phase-concurrent erase (tombstone). Returns true iff the key existed.
-  bool erase(uint64_t key) {
-    size_t mask = keys_.size() - 1;
-    size_t i = util::hash64(key) & mask;
-    for (;;) {
-      uint64_t cur = keys_[i].load(std::memory_order_relaxed);
-      if (cur == kEmpty) return false;
-      if (cur == key) {
-        uint64_t expected = key;
-        if (keys_[i].compare_exchange_strong(expected, kTombstone,
-                                             std::memory_order_acq_rel)) {
-          tombs_.fetch_add(1, std::memory_order_relaxed);
-          size_.fetch_sub(1, std::memory_order_relaxed);
-          return true;
-        }
-        continue;
-      }
-      i = (i + 1) & mask;
-    }
-  }
-
-  bool contains(uint64_t key) const { return slot_of(key) != SIZE_MAX; }
-
-  // Value for `key`, or `fallback` when absent (read phase).
-  int64_t get(uint64_t key, int64_t fallback) const {
-    size_t i = slot_of(key);
-    return i == SIZE_MAX ? fallback : vals_[i].load(std::memory_order_relaxed);
-  }
-
-  size_t size() const { return size_.load(std::memory_order_relaxed); }
-  bool empty() const { return size() == 0; }
-  size_t capacity() const { return keys_.size(); }
-
-  // Single-threaded (phase boundary): grow so `n` additional keys fit at
-  // load factor <= 1/2; same tombstone-aware policy as ConcurrentSet.
-  void reserve(size_t n) {
-    size_t want = ConcurrentSet::capacity_for(size(), n);
-    if (want <= keys_.size() &&
-        size() + tombs_.load(std::memory_order_relaxed) + n <=
-            keys_.size() / 2)
-      return;
-    UFO_STAT("hash.map.resizes", 1);
-    std::vector<std::pair<uint64_t, int64_t>> live;
-    live.reserve(size());
-    for_each([&](uint64_t k, int64_t v) { live.emplace_back(k, v); });
-    std::vector<std::atomic<uint64_t>> fresh_keys(want);
-    std::vector<std::atomic<int64_t>> fresh_vals(want);
-    keys_.swap(fresh_keys);
-    vals_.swap(fresh_vals);
-    for (auto& s : keys_) s.store(kEmpty, std::memory_order_relaxed);
-    size_.store(0, std::memory_order_relaxed);
-    tombs_.store(0, std::memory_order_relaxed);
-    for (const auto& [k, v] : live) insert_concurrent(k, v);
-  }
-
-  // reserve() with the allocation failure surfaced instead of thrown; the
-  // map is untouched on failure so callers can degrade to per-key growth.
-  bool try_reserve(size_t n) noexcept {
-    if (UFO_FAULT_POINT("hash.reserve")) return false;
-    try {
-      reserve(n);
-      return true;
-    } catch (const std::bad_alloc&) {
-      return false;
-    }
-  }
-
-  // Visit every live (key, value) pair (read-only phase).
-  template <class F>
-  void for_each(F&& f) const {
-    for (size_t i = 0; i < keys_.size(); ++i) {
-      uint64_t k = keys_[i].load(std::memory_order_relaxed);
-      if (k != kEmpty && k != kTombstone)
-        f(k, vals_[i].load(std::memory_order_relaxed));
-    }
-  }
-
-  void clear() {
-    for (auto& s : keys_) s.store(kEmpty, std::memory_order_relaxed);
-    size_.store(0, std::memory_order_relaxed);
-    tombs_.store(0, std::memory_order_relaxed);
-  }
-
-  size_t memory_bytes() const {
-    return sizeof(*this) +
-           keys_.size() * (sizeof(std::atomic<uint64_t>) +
-                           sizeof(std::atomic<int64_t>));
-  }
-
- private:
-  size_t slot_of(uint64_t key) const {
-    size_t mask = keys_.size() - 1;
-    size_t i = util::hash64(key) & mask;
-    for (;;) {
-      uint64_t cur = keys_[i].load(std::memory_order_relaxed);
-      if (cur == key) return i;
-      if (cur == kEmpty) return SIZE_MAX;
-      i = (i + 1) & mask;
-    }
-  }
-
-  void copy_from(const ConcurrentMap& other) {
-    keys_ = std::vector<std::atomic<uint64_t>>(other.keys_.size());
-    vals_ = std::vector<std::atomic<int64_t>>(other.vals_.size());
-    for (size_t i = 0; i < keys_.size(); ++i) {
-      keys_[i].store(other.keys_[i].load(std::memory_order_relaxed),
-                     std::memory_order_relaxed);
-      vals_[i].store(other.vals_[i].load(std::memory_order_relaxed),
-                     std::memory_order_relaxed);
-    }
-    size_.store(other.size(), std::memory_order_relaxed);
-    tombs_.store(other.tombs_.load(std::memory_order_relaxed),
-                 std::memory_order_relaxed);
-  }
-
-  std::vector<std::atomic<uint64_t>> keys_;
-  std::vector<std::atomic<int64_t>> vals_;
-  std::atomic<size_t> size_{0};
-  std::atomic<size_t> tombs_{0};
 };
 
 }  // namespace ufo::par

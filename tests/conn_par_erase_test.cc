@@ -1,9 +1,9 @@
 // Adversarial differential tests for the level-synchronous parallel
-// replacement-edge search (replacement_search.h): every scenario runs the
-// parallel batch_erase path against BOTH the BFS oracle and the serial
-// fallback (set_serial_replacement_search) on the same input stream, and
-// audits invariants after every wave. Registered at 1/2/4/max workers like
-// the other par suites, and part of the TSan job.
+// replacement-edge search (replacement_search.h): every scenario runs
+// batch_erase against a BFS oracle on the same input stream, and after
+// every wave checks edge, component and tree-edge counts, sampled
+// connectivity, and the invariant audit. Registered at 1/2/4/max workers
+// like the other par suites, and part of the TSan job.
 //
 // The scenarios target the engine's hard cases:
 //   * star shatter — every cut-pair search seeds at the hub, so all hub-side
@@ -86,45 +86,37 @@ class BfsOracle {
   size_t edges_ = 0;
 };
 
-// Apply the same erase batch to the parallel path, the serial fallback, and
-// the oracle; then cross-check all three.
-struct Trio {
+// Apply the same erase batch to the connectivity layer and the oracle; then
+// cross-check them.
+struct Duo {
   UfoConn par_g;
-  UfoConn ser_g;
   BfsOracle oracle;
 
-  explicit Trio(size_t n) : par_g(n), ser_g(n), oracle(n) {
-    ser_g.set_serial_replacement_search(true);
-  }
+  explicit Duo(size_t n) : par_g(n), oracle(n) {}
 
   void insert_all(const EdgeList& edges) {
     EXPECT_EQ(par_g.batch_insert(edges), BatchStatus::kOk);
-    EXPECT_EQ(ser_g.batch_insert(edges), BatchStatus::kOk);
     for (const Edge& e : edges) oracle.insert(e.u, e.v);
   }
 
   void erase_batch(const EdgeList& batch) {
     EXPECT_EQ(par_g.batch_erase(batch), BatchStatus::kOk);
-    EXPECT_EQ(ser_g.batch_erase(batch), BatchStatus::kOk);
     // Oracle semantics: duplicates/absent are no-ops, as in batch_erase.
     for (const Edge& e : batch) oracle.erase(e.u, e.v);
   }
 
   void check(util::SplitMix64& rng, size_t probes) {
     ASSERT_EQ(par_g.num_edges(), oracle.num_edges());
-    ASSERT_EQ(ser_g.num_edges(), oracle.num_edges());
-    ASSERT_EQ(par_g.num_components(), oracle.num_components());
-    ASSERT_EQ(ser_g.num_components(), oracle.num_components());
-    ASSERT_EQ(par_g.num_tree_edges(), ser_g.num_tree_edges());
+    size_t comps = oracle.num_components();
+    ASSERT_EQ(par_g.num_components(), comps);
+    ASSERT_EQ(par_g.num_tree_edges(), par_g.size() - comps);
     for (size_t p = 0; p < probes; ++p) {
       Vertex a = static_cast<Vertex>(rng.next(par_g.size()));
       Vertex b = static_cast<Vertex>(rng.next(par_g.size()));
-      bool want = oracle.connected(a, b);
-      ASSERT_EQ(par_g.connected(a, b), want) << "par " << a << "-" << b;
-      ASSERT_EQ(ser_g.connected(a, b), want) << "ser " << a << "-" << b;
+      ASSERT_EQ(par_g.connected(a, b), oracle.connected(a, b))
+          << a << "-" << b;
     }
     ASSERT_TRUE(par_g.check_valid());
-    ASSERT_TRUE(ser_g.check_valid());
   }
 };
 
@@ -147,7 +139,7 @@ TEST(ParallelBatchErase, StarShatterNoReplacements) {
   // sides for multi-piece), with the hub-side searches collapsing into one
   // group. No replacement exists; component count must jump to n.
   constexpr size_t n = 257;
-  Trio t(n);
+  Duo t(n);
   EdgeList spokes = gen::star(n);
   t.insert_all(spokes);
   util::SplitMix64 rng(42);
@@ -162,7 +154,7 @@ TEST(ParallelBatchErase, StarShatterWithChordReplacements) {
   // Star plus a rim cycle: cutting waves of spokes always leaves rim chords
   // as replacements, so searches promote instead of certifying.
   constexpr size_t n = 193;
-  Trio t(n);
+  Duo t(n);
   EdgeList edges = gen::star(n);
   for (Vertex i = 1; i + 1 < n; ++i)
     edges.push_back({i, static_cast<Vertex>(i + 1)});  // rim
@@ -185,7 +177,7 @@ TEST(ParallelBatchErase, PathShatterEveryOtherEdge) {
   // Cutting every other edge of a path makes ~n/2 two-vertex pieces in one
   // batch — maximal pair count, zero replacements.
   constexpr size_t n = 256;
-  Trio t(n);
+  Duo t(n);
   EdgeList edges = gen::path(n);
   t.insert_all(edges);
   util::SplitMix64 rng(13);
@@ -200,7 +192,7 @@ TEST(ParallelBatchErase, GridShatterWithReplacements) {
   // Grid columns cut in batches: row edges supply replacements, exercising
   // multi-round promotion + group merging across many concurrent searches.
   constexpr size_t rows = 12, cols = 12, n = rows * cols;
-  Trio t(n);
+  Duo t(n);
   EdgeList edges = gen::grid_graph(rows, cols);
   t.insert_all(edges);
   util::SplitMix64 rng(99);
@@ -223,7 +215,7 @@ TEST(ParallelBatchErase, PowerLawChurn) {
   // and tiny pieces; interleave erase and re-insert waves.
   const int64_t tasks_before = test::pool_tasks_run();
   constexpr size_t n = 300;
-  Trio t(n);
+  Duo t(n);
   EdgeList edges = gen::social_graph(n, 4, 17);
   t.insert_all(edges);
   util::SplitMix64 rng(555);
@@ -253,7 +245,7 @@ TEST(ParallelBatchErase, FullComponentDeletion) {
   // before the cut — promotion happens after, and the promoted edges were
   // part of the batch's non-tree set). Ends fully disconnected.
   constexpr size_t rows = 8, cols = 8, n = rows * cols;
-  Trio t(n);
+  Duo t(n);
   EdgeList edges = gen::grid_graph(rows, cols);
   t.insert_all(edges);
   util::SplitMix64 rng(31);
@@ -270,7 +262,7 @@ TEST(ParallelBatchErase, ManySmallComponentsThroughputShape) {
   // independent searches that never collide — the engine must keep them
   // fully independent (each promotes its triangle's non-tree edge).
   constexpr size_t tri = 64, n = 3 * tri;
-  Trio t(n);
+  Duo t(n);
   EdgeList edges;
   for (size_t c = 0; c < tri; ++c) {
     Vertex a = static_cast<Vertex>(3 * c);
@@ -290,16 +282,22 @@ TEST(ParallelBatchErase, ManySmallComponentsThroughputShape) {
 }
 
 TEST(ParallelBatchErase, SingleEdgeBatchesMatchSingleErase) {
-  // k=1 batches exercise the single-cut (one-side certification) rule.
+  // k=1 batches and single-edge erase, alternating, exercise the single-cut
+  // (one-side certification) rule.
   constexpr size_t n = 100;
-  Trio t(n);
+  Duo t(n);
   EdgeList edges = gen::social_graph(n, 3, 5);
   t.insert_all(edges);
   util::SplitMix64 rng(8);
   EdgeList pool = edges;
   util::shuffle(pool, 1);
   for (size_t i = 0; i < std::min<size_t>(pool.size(), 60); ++i) {
-    t.erase_batch({pool[i]});
+    if (i % 2) {
+      EXPECT_TRUE(t.par_g.erase(pool[i].u, pool[i].v));
+      t.oracle.erase(pool[i].u, pool[i].v);
+    } else {
+      t.erase_batch({pool[i]});
+    }
     if (i % 10 == 9) t.check(rng, 20);
   }
   t.check(rng, 40);

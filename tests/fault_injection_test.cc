@@ -11,7 +11,9 @@
 //   * allocation failure while rebuilding pools during load returns
 //     kAllocFailed instead of crashing;
 //   * a failed bulk hash reservation degrades batch_insert to the
-//     sequential path (kDegradedAlloc) with every edge still applied.
+//     sequential path (kDegradedAlloc) with every edge still applied;
+//   * a replacement search stopped by its safety valve still leaves a
+//     forest that spans exactly the graph's components.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -242,6 +244,74 @@ TEST_F(FaultTest, HashReserveFailureDegradesBatchErasePromotion) {
   }
   EXPECT_TRUE(saw_degraded)
       << "no armed offset reached a promotion-path reservation";
+}
+
+// The replacement search's zero-progress safety valve is unreachable by the
+// termination argument in DESIGN.md; conn.search.stall forces it after the
+// first round, so the repair behind it (re-filing every crossing non-tree
+// edge through batch_insert) runs on a half-finished search. Shattering
+// batches on a star with a rim and on a grid leave pairs unsettled after
+// one round; the result must match a BFS over the surviving edges.
+TEST_F(FaultTest, SearchStallRepairsForest) {
+  if (!kFaultBuild) GTEST_SKIP() << "built without UFO_FAULT_INJECTION";
+  constexpr size_t side = 16, n = side * side;
+  EdgeList spokes = gen::star(n);
+  EdgeList star_rim = spokes;
+  for (Vertex i = 1; i + 1 < n; ++i)
+    star_rim.push_back({i, static_cast<Vertex>(i + 1)});
+  EdgeList grid = gen::grid_graph(side, side);
+  EdgeList grid_drop = grid;
+  util::shuffle(grid_drop, 9);
+  grid_drop.resize(grid.size() / 2);
+  struct Case {
+    const char* name;
+    const EdgeList& edges;
+    const EdgeList& drop;
+  };
+  for (const Case& c : {Case{"star", star_rim, spokes},
+                        Case{"grid", grid, grid_drop}}) {
+    SCOPED_TRACE(c.name);
+    conn::GraphConnectivity<seq::UfoTree> g(n);
+    ASSERT_EQ(g.batch_insert(c.edges), conn::BatchStatus::kOk);
+    fault::Injector::instance().reset();
+    fault::Injector::instance().arm_nth("conn.search.stall", 0);
+    EXPECT_EQ(g.batch_erase(c.drop), conn::BatchStatus::kOk);
+    fault::Injector::instance().disarm();
+    EXPECT_EQ(fault::Injector::instance().fired("conn.search.stall"), 1u);
+    ASSERT_TRUE(g.check_valid());
+
+    // BFS oracle over the surviving edges: label = smallest vertex id.
+    std::vector<std::vector<Vertex>> adj(n);
+    size_t survivors = 0;
+    for (const Edge& e : c.edges) {
+      bool dropped = false;
+      for (const Edge& d : c.drop) dropped |= d.u == e.u && d.v == e.v;
+      if (dropped) continue;
+      adj[e.u].push_back(e.v);
+      adj[e.v].push_back(e.u);
+      ++survivors;
+    }
+    std::vector<Vertex> label(n, kNoVertex);
+    size_t comps = 0;
+    for (Vertex s = 0; s < n; ++s) {
+      if (label[s] != kNoVertex) continue;
+      ++comps;
+      std::vector<Vertex> queue{s};
+      label[s] = s;
+      for (size_t h = 0; h < queue.size(); ++h)
+        for (Vertex y : adj[queue[h]])
+          if (label[y] == kNoVertex) {
+            label[y] = s;
+            queue.push_back(y);
+          }
+    }
+    EXPECT_EQ(g.num_edges(), survivors);
+    EXPECT_EQ(g.num_components(), comps);
+    // Each BFS component lies inside one forest component, and the counts
+    // agree, so the two partitions are equal.
+    for (Vertex v = 0; v < n; ++v)
+      ASSERT_TRUE(g.connected(v, label[v])) << v;
+  }
 }
 
 // Random low-rate faulting across every site on the load path: each

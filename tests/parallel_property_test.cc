@@ -8,10 +8,11 @@
 #include <map>
 #include <numeric>
 #include <set>
+#include <type_traits>
+#include <unordered_map>
 #include <vector>
 
 #include "parallel/hash_table.h"
-#include "parallel/list_ranking.h"
 #include "parallel/primitives.h"
 #include "parallel/scheduler.h"
 #include "util/random.h"
@@ -107,47 +108,6 @@ TEST_P(SizeSweep, GroupByKeyPartitionsExactly) {
   EXPECT_EQ(seen_keys.size(), expect.size());
 }
 
-TEST_P(SizeSweep, ListRankOnPermutedChains) {
-  size_t n = GetParam();
-  if (n == 0) GTEST_SKIP();
-  // Build ~sqrt(n) chains over a random permutation of node ids.
-  util::SplitMix64 rng(n + 5);
-  std::vector<uint32_t> perm = util::random_permutation(n, n + 6);
-  std::vector<uint32_t> next(n, kListEnd);
-  std::vector<uint32_t> expect_rank(n, 0);
-  size_t chains = std::max<size_t>(1, n / 16);
-  size_t per = n / chains;
-  for (size_t c = 0; c < chains; ++c) {
-    size_t b = c * per;
-    size_t e = (c + 1 == chains) ? n : (c + 1) * per;
-    for (size_t i = b; i + 1 < e; ++i) next[perm[i]] = perm[i + 1];
-    for (size_t i = b; i < e; ++i)
-      expect_rank[perm[i]] = static_cast<uint32_t>(i - b);
-  }
-  EXPECT_EQ(list_rank(next), expect_rank);
-}
-
-TEST_P(SizeSweep, ChainMatchingIsMaximalMatching) {
-  size_t n = GetParam();
-  if (n < 2) GTEST_SKIP();
-  // One long chain: matching must pair rank-even nodes with successors.
-  std::vector<uint32_t> next(n, kListEnd);
-  for (size_t i = 0; i + 1 < n; ++i)
-    next[i] = static_cast<uint32_t>(i + 1);
-  auto match = chain_maximal_matching(next);
-  size_t pairs = 0;
-  std::vector<uint8_t> used(n, 0);
-  for (size_t i = 0; i < n; ++i) {
-    if (match[i] == kListEnd) continue;
-    ASSERT_EQ(match[i], next[i]) << "pairs must follow successor edges";
-    ASSERT_FALSE(used[i]) << i;
-    ASSERT_FALSE(used[match[i]]) << match[i];
-    used[i] = used[match[i]] = 1;
-    ++pairs;
-  }
-  EXPECT_EQ(pairs, n / 2) << "matching on a chain must take floor(n/2) pairs";
-}
-
 INSTANTIATE_TEST_SUITE_P(Sizes, SizeSweep,
                          ::testing::Values(0, 1, 2, 3, 17, 100, 2047, 2048,
                                            2049, 10000, 100000),
@@ -155,35 +115,101 @@ INSTANTIATE_TEST_SUITE_P(Sizes, SizeSweep,
                            return "n" + std::to_string(info.param);
                          });
 
-TEST(ConcurrentSetProperty, RandomOpsMatchStdSet) {
-  // Phase-concurrent contract: capacity is managed by the caller via
-  // reserve() at phase boundaries (the batch-update algorithms do exactly
-  // this), so size the table for the key space and re-reserve
-  // periodically to flush tombstones.
-  ConcurrentSet table(2048);
-  std::set<uint64_t> ref;
-  util::SplitMix64 rng(77);
+// Random-ops differential harness shared by both instantiations of the
+// probing core: ConcurrentSet against a key set, ConcurrentMap against
+// std::unordered_map (the set's reference values stay 0). Phase-concurrent
+// contract: capacity is managed by the caller via reserve() at phase
+// boundaries (the batch-update algorithms do exactly this), so size the
+// table for the key space and re-reserve periodically to flush tombstones.
+template <class Table>
+void random_ops_match_reference(uint64_t seed) {
+  constexpr bool kMap = std::is_same_v<Table, ConcurrentMap>;
+  Table table(2048);
+  std::unordered_map<uint64_t, int64_t> ref;
+  auto audit = [&](const Table& t, const char* what, int step) {
+    ASSERT_EQ(t.size(), ref.size()) << what << " " << step;
+    std::unordered_map<uint64_t, int64_t> seen;
+    if constexpr (kMap)
+      t.for_each([&](uint64_t k, int64_t v) { seen.emplace(k, v); });
+    else
+      t.for_each([&](uint64_t k) { seen.emplace(k, 0); });
+    ASSERT_EQ(seen, ref) << what << " " << step;
+    for (uint64_t k = 1; k <= 500; ++k)
+      ASSERT_EQ(t.contains(k), ref.count(k) > 0) << what << " " << step;
+  };
+  util::SplitMix64 rng(seed);
   for (int step = 0; step < 20000; ++step) {
     uint64_t key = rng.next(500) + 1;  // small key space: heavy collisions
+    int64_t value = static_cast<int64_t>(rng.next(1000)) - 500;
+    bool absent = ref.count(key) == 0;
     switch (rng.next(3)) {
       case 0:
-        table.insert(key);
-        ref.insert(key);
+        if constexpr (kMap) {
+          // Overwrites through both insert paths; the sequential one grows
+          // on demand, the concurrent one relies on the reserve below.
+          bool fresh = (step & 1) ? table.insert_or_assign(key, value)
+                                  : table.insert_concurrent(key, value);
+          ASSERT_EQ(fresh, absent) << "step " << step;
+          ref[key] = value;
+        } else {
+          ASSERT_EQ(table.insert(key), absent) << "step " << step;
+          ref.emplace(key, 0);
+        }
         break;
       case 1:
-        table.erase(key);
+        ASSERT_EQ(table.erase(key), !absent) << "step " << step;
         ref.erase(key);
         break;
       default:
-        ASSERT_EQ(table.contains(key), ref.count(key) > 0) << "step " << step;
+        ASSERT_EQ(table.contains(key), !absent) << "step " << step;
+        if constexpr (kMap) {
+          ASSERT_EQ(table.get(key, -1000), absent ? -1000 : ref[key])
+              << "step " << step;
+        }
     }
     if (step % 4096 == 0) {
       table.reserve(2048);  // phase boundary: rehash away tombstones
-      for (uint64_t k = 1; k <= 500; ++k)
-        ASSERT_EQ(table.contains(k), ref.count(k) > 0) << "audit " << step;
+      ASSERT_NO_FATAL_FAILURE(audit(table, "audit", step));
+      Table copy(table);
+      ASSERT_NO_FATAL_FAILURE(audit(copy, "copy", step));
     }
   }
-  ASSERT_EQ(table.size(), ref.size());
+  ASSERT_NO_FATAL_FAILURE(audit(table, "final", 20000));
+
+  // Tombstone reuse past a live key: b sits behind a in a's probe chain;
+  // erasing a leaves a tombstone in front of b, and re-inserting b must
+  // find it there rather than claim the tombstone (a duplicate would
+  // survive the next erase).
+  table.clear();
+  ref.clear();
+  size_t mask = table.capacity() - 1;
+  uint64_t a = 1, b = 2;
+  while ((util::hash64(b) & mask) != (util::hash64(a) & mask)) ++b;
+  for (uint64_t k : {a, b}) {
+    if constexpr (kMap)
+      table.insert_concurrent(k, 1);
+    else
+      table.insert(k);
+  }
+  ASSERT_TRUE(table.erase(a));
+  if constexpr (kMap) {
+    ASSERT_FALSE(table.insert_concurrent(b, 7));
+    EXPECT_EQ(table.get(b, 0), 7);
+  } else {
+    ASSERT_FALSE(table.insert(b));
+  }
+  EXPECT_EQ(table.size(), 1u);
+  EXPECT_TRUE(table.erase(b));
+  EXPECT_FALSE(table.contains(b));
+  EXPECT_EQ(table.size(), 0u);
+}
+
+TEST(ConcurrentSetProperty, RandomOpsMatchStdSet) {
+  random_ops_match_reference<ConcurrentSet>(77);
+}
+
+TEST(ConcurrentMapProperty, RandomOpsMatchStdMap) {
+  random_ops_match_reference<ConcurrentMap>(78);
 }
 
 TEST(SchedulerProperty, ParallelForWritesEveryIndexOnce) {

@@ -9,7 +9,6 @@
 #include <numeric>
 
 #include "parallel/hash_table.h"
-#include "parallel/list_ranking.h"
 #include "parallel/primitives.h"
 #include "parallel/scheduler.h"
 #include "pool_coverage.h"
@@ -263,78 +262,6 @@ TEST(HashTable, ReserveRehashesAndDropsTombstones) {
   EXPECT_EQ(set.size(), 4u);
   for (uint64_t i = 4; i < 8; ++i) EXPECT_TRUE(set.contains(i));
   for (uint64_t i = 0; i < 4; ++i) EXPECT_FALSE(set.contains(i));
-}
-
-TEST(ListRanking, SingleChain) {
-  // Chain 3 -> 0 -> 2 -> 1 (head 3, tail 1).
-  std::vector<uint32_t> next{2, kListEnd, 1, 0};
-  auto rank = list_rank(next);
-  EXPECT_EQ(rank[3], 0u);
-  EXPECT_EQ(rank[0], 1u);
-  EXPECT_EQ(rank[2], 2u);
-  EXPECT_EQ(rank[1], 3u);
-}
-
-TEST(ListRanking, ManyChains) {
-  // 1000 chains of varying lengths laid out contiguously.
-  std::vector<uint32_t> next;
-  std::vector<uint32_t> expected;
-  util::SplitMix64 rng(7);
-  for (int c = 0; c < 1000; ++c) {
-    size_t len = 1 + rng.next(20);
-    size_t base = next.size();
-    for (size_t i = 0; i < len; ++i) {
-      next.push_back(i + 1 < len ? static_cast<uint32_t>(base + i + 1)
-                                 : kListEnd);
-      expected.push_back(static_cast<uint32_t>(i));
-    }
-  }
-  auto rank = list_rank(next);
-  EXPECT_EQ(rank, expected);
-}
-
-TEST(ListRanking, ChainMatchingIsMaximal) {
-  // A chain of length 10: matching must pair (0,1),(2,3),...
-  std::vector<uint32_t> next(10);
-  for (size_t i = 0; i < 10; ++i)
-    next[i] = i + 1 < 10 ? static_cast<uint32_t>(i + 1) : kListEnd;
-  auto match = chain_maximal_matching(next);
-  int pairs = 0;
-  for (size_t i = 0; i < 10; ++i) {
-    if (match[i] != kListEnd) {
-      EXPECT_EQ(match[i], i + 1);
-      ++pairs;
-    }
-  }
-  EXPECT_EQ(pairs, 5);
-}
-
-TEST(ListRanking, MatchingNoOverlap) {
-  util::SplitMix64 rng(11);
-  std::vector<uint32_t> next;
-  for (int c = 0; c < 200; ++c) {
-    size_t len = 1 + rng.next(15);
-    size_t base = next.size();
-    for (size_t i = 0; i < len; ++i)
-      next.push_back(i + 1 < len ? static_cast<uint32_t>(base + i + 1)
-                                 : kListEnd);
-  }
-  auto match = chain_maximal_matching(next);
-  std::vector<int> used(next.size(), 0);
-  for (size_t i = 0; i < next.size(); ++i) {
-    if (match[i] != kListEnd) {
-      used[i]++;
-      used[match[i]]++;
-    }
-  }
-  for (size_t i = 0; i < next.size(); ++i) EXPECT_LE(used[i], 1) << i;
-  // Maximality: no two adjacent unmatched nodes.
-  for (size_t i = 0; i < next.size(); ++i) {
-    if (next[i] == kListEnd) continue;
-    bool i_matched = used[i] > 0;
-    bool j_matched = used[next[i]] > 0;
-    EXPECT_TRUE(i_matched || j_matched) << i;
-  }
 }
 
 }  // namespace
