@@ -4,12 +4,13 @@
 // be disconnected and cut() removes a tree edge. Every motivating workload
 // (RIS edge streams, road closures, fleet tracking) is a general-graph
 // problem, so this subsystem layers the textbook spanning-forest scheme on
-// top of any batch-dynamic tree:
+// top of a UFO tree (seq::UfoTree, the default, or par::UfoTree):
 //
 //   * a spanning forest of the current graph, held in the Backend
-//     (default seq::UfoTree — O(min{log n, D}) updates, Theorem 4.3);
-//   * every remaining edge in a non-tree EdgeStore (per-vertex adjacency on
-//     the phase-concurrent hash table);
+//     (O(min{log n, D}) updates, Theorem 4.3), with its edges and their
+//     weights in a tree EdgeStore;
+//   * every remaining edge, with its weight, in a non-tree EdgeStore
+//     (per-vertex adjacency on the phase-concurrent hash map);
 //   * on insertion, an edge joining two components becomes a tree edge,
 //     otherwise a non-tree edge;
 //   * on deletion of tree edges, the level-synchronous replacement-edge
@@ -18,12 +19,12 @@
 //     leaving each split side, or certifies the side crossing-free.
 //
 // Batch operations preserve the Section 5 batch contract for the backend: a
-// batch_insert stages candidates through a union-find over the batch
-// endpoints (seeded with forest component ids), so the edges handed to
-// Backend::batch_link are mutually independent — any ordering is a valid
-// link sequence. batch_erase cuts all tree edges in one backend batch and
-// then runs one replacement search over all of them; single-edge erase is
-// the same search on a one-edge cut batch.
+// batch_insert stages candidates in key order through a union-find over
+// their endpoints' forest components (stage_candidates), so the edges
+// handed to Backend::batch_link are mutually independent — any ordering is
+// a valid link sequence. batch_erase cuts all tree edges in one backend
+// batch and then runs one replacement search over all of them; single-edge
+// erase is the same search on a one-edge cut batch.
 //
 // Replacement-search invariant (why one pass suffices): during batch_erase,
 // cuts happen before any promotion, and afterwards components only merge.
@@ -48,18 +49,16 @@
 #include <cstddef>
 #include <new>
 #include <string>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "connectivity/edge_store.h"
 #include "connectivity/replacement_search.h"
 #include "core/capabilities.h"
 #include "core/invariants.h"
+#include "core/ufo_core.h"
 #include "graph/forest.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "parallel/hash_table.h"
 #include "parallel/primitives.h"
 #include "parallel/scheduler.h"
 #include "recovery/snapshot.h"
@@ -72,7 +71,7 @@ namespace ufo::conn {
 // in the component. Shared by check_valid() and the test oracles.
 std::vector<Vertex> component_labels(const EdgeStore& tree_edges);
 
-template <core::BatchDynamic Backend = seq::UfoTree>
+template <std::derived_from<core::UfoCore> Backend = seq::UfoTree>
 class GraphConnectivity {
  public:
   using backend_type = Backend;
@@ -95,50 +94,32 @@ class GraphConnectivity {
   // meaningful for any workload that treats promoted edges as routes.
   const Backend& forest() const { return forest_; }
 
-  // Vertex annotations pass through to the backend when it supports them
-  // (weights feed subtree aggregates, marks feed nearest-marked queries);
-  // they never affect connectivity, so exposing them cannot desync the
-  // spanning forest.
-  void set_vertex_weight(Vertex v, Weight w)
-    requires core::SubtreeQueryable<Backend>
-  {
-    forest_.set_vertex_weight(v, w);
-  }
-  void set_mark(Vertex v, bool m)
-    requires core::NonLocalQueryable<Backend>
-  {
-    forest_.set_mark(v, m);
-  }
+  // Vertex annotations pass through to the backend (weights feed subtree
+  // aggregates, marks feed nearest-marked queries); they never affect
+  // connectivity, so exposing them cannot desync the spanning forest.
+  void set_vertex_weight(Vertex v, Weight w) { forest_.set_vertex_weight(v, w); }
+  void set_mark(Vertex v, bool m) { forest_.set_mark(v, m); }
 
-  // Number of vertices in v's component. Uses the backend's subtree
-  // aggregates when available (O(update cost)), otherwise a BFS over the
-  // spanning forest (O(component size)).
+  // Number of vertices in v's component, from the backend's subtree
+  // aggregates on both sides of one tree edge at v (O(update cost)).
   size_t component_size(Vertex v) const {
-    if constexpr (kHasSubtreeSize) {
-      Vertex p = kNoVertex;
-      tree_.for_each_neighbor(v, [&](Vertex y) {
-        if (p == kNoVertex) p = y;
-      });
-      if (p == kNoVertex) return 1;  // isolated vertex
-      return forest_.subtree_size(v, p) + forest_.subtree_size(p, v);
-    } else {
-      std::unordered_set<Vertex> side;
-      std::vector<Vertex> order;
-      collect_component(v, &side, &order);
-      return side.size();
-    }
+    Vertex p = kNoVertex;
+    tree_.for_each_neighbor(v, [&](Vertex y) {
+      if (p == kNoVertex) p = y;
+    });
+    if (p == kNoVertex) return 1;  // isolated vertex
+    return forest_.subtree_size(v, p) + forest_.subtree_size(p, v);
   }
 
   // --- Single-edge updates --------------------------------------------------
   // Insert {u, v}. Returns false (no-op) on self-loops and duplicates.
   bool insert(Vertex u, Vertex v, Weight w = 1) {
     if (u == v || u >= n_ || v >= n_ || has_edge(u, v)) return false;
-    weight_.insert_or_assign(edge_key(u, v), w);
     if (forest_.connected(u, v)) {
-      nontree_.insert(u, v);
+      nontree_.insert(u, v, w);
     } else {
       forest_.link(u, v, w);
-      tree_.insert(u, v);
+      tree_.insert(u, v, w);
       --components_;
     }
     return true;
@@ -148,12 +129,8 @@ class GraphConnectivity {
   // triggers the replacement-edge search.
   bool erase(Vertex u, Vertex v) {
     if (u == v || u >= n_ || v >= n_) return false;
-    if (nontree_.erase(u, v)) {
-      weight_.erase(edge_key(u, v));
-      return true;
-    }
+    if (nontree_.erase(u, v)) return true;
     if (!tree_.erase(u, v)) return false;
-    weight_.erase(edge_key(u, v));
     forest_.cut(u, v);
     ++components_;
     find_replacements({Edge{u, v, Weight{1}}}, /*multi_piece=*/false);
@@ -170,65 +147,24 @@ class GraphConnectivity {
   // batch is still fully applied).
   BatchStatus batch_insert(const EdgeList& edges) {
     if (edges.empty()) return BatchStatus::kOk;
-    // Phase 1 (parallel): canonicalize and drop self-loops + present edges.
-    EdgeList cand(edges.size());
-    par::parallel_for(0, edges.size(), [&](size_t i) {
-      Edge e = edges[i];
-      if (e.u > e.v) std::swap(e.u, e.v);
-      cand[i] = e;
-    });
-    cand = par::filter(cand, [&](const Edge& e) {
+    // Phase 1 (parallel): drop self-loops and present edges, then
+    // canonicalize and dedupe (the first occurrence of each key wins).
+    EdgeList cand = par::filter(edges, [&](const Edge& e) {
       return e.u != e.v && e.u < n_ && e.v < n_ && !has_edge(e.u, e.v);
     });
-    // Dedupe within the batch (keep the first occurrence of each key).
-    par::sort(cand, [](const Edge& a, const Edge& b) {
-      return edge_key(a.u, a.v) < edge_key(b.u, b.v);
-    });
-    cand.erase(std::unique(cand.begin(), cand.end(),
-                           [](const Edge& a, const Edge& b) {
-                             return edge_key(a.u, a.v) == edge_key(b.u, b.v);
-                           }),
-               cand.end());
+    canonicalize_edges(&cand);
     if (cand.empty()) return BatchStatus::kOk;
 
-    // Phase 2: stage through a union-find over the batch endpoints, seeded
-    // so endpoints sharing a forest component start united.
-    std::vector<Vertex> verts;
-    verts.reserve(2 * cand.size());
-    for (const Edge& e : cand) {
-      verts.push_back(e.u);
-      verts.push_back(e.v);
-    }
-    par::remove_duplicates(verts);
-    std::unordered_map<Vertex, Vertex> local;
-    local.reserve(verts.size());
-    for (Vertex v : verts) local.emplace(v, static_cast<Vertex>(local.size()));
-    util::UnionFind stage(verts.size());
-    seed_components(verts, &stage);
-
-    EdgeList tree_batch, nontree_batch;
-    for (const Edge& e : cand) {
-      if (stage.unite(local[e.u], local[e.v]))
-        tree_batch.push_back(e);
-      else
-        nontree_batch.push_back(e);
-    }
+    // Phase 2: stage in key order over forest components; the accepted
+    // candidates span, the rest close cycles.
+    std::vector<uint8_t> accept = stage_candidates(forest_, cand);
+    EdgeList tree_batch =
+        par::filter_index(cand, [&](size_t i) { return accept[i] != 0; });
+    EdgeList nontree_batch =
+        par::filter_index(cand, [&](size_t i) { return accept[i] == 0; });
 
     // Phase 3: apply. The tree batch is mutually independent by staging.
-    // Weights: one bulk reservation, then phase-concurrent inserts (cand is
-    // deduped, so keys are distinct); on reservation failure degrade to
-    // sequential growth like the edge stores below.
     BatchStatus status = BatchStatus::kOk;
-    if (weight_.try_reserve(cand.size())) {
-      par::parallel_for(0, cand.size(), [&](size_t i) {
-        weight_.insert_concurrent(edge_key(cand[i].u, cand[i].v), cand[i].w);
-      });
-    } else {
-      UFO_STAT("conn.degraded_batches", 1);
-      for (const Edge& e : cand)
-        weight_.insert_or_assign(edge_key(e.u, e.v), e.w);
-      status = BatchStatus::kDegradedAlloc;
-    }
     if (!tree_batch.empty()) {
       forest_.batch_link(tree_batch);
       components_ -= tree_batch.size();
@@ -251,20 +187,8 @@ class GraphConnectivity {
   // still fully applied through the sequential fallback).
   BatchStatus batch_erase(const EdgeList& edges) {
     if (edges.empty()) return BatchStatus::kOk;
-    EdgeList cand(edges.size());
-    par::parallel_for(0, edges.size(), [&](size_t i) {
-      Edge e = edges[i];
-      if (e.u > e.v) std::swap(e.u, e.v);
-      cand[i] = e;
-    });
-    par::sort(cand, [](const Edge& a, const Edge& b) {
-      return edge_key(a.u, a.v) < edge_key(b.u, b.v);
-    });
-    cand.erase(std::unique(cand.begin(), cand.end(),
-                           [](const Edge& a, const Edge& b) {
-                             return edge_key(a.u, a.v) == edge_key(b.u, b.v);
-                           }),
-               cand.end());
+    EdgeList cand = edges;
+    canonicalize_edges(&cand);
     // Classify in parallel: 1 = non-tree, 2 = tree, 0 = absent.
     std::vector<uint8_t> kind(cand.size());
     par::parallel_for(0, cand.size(), [&](size_t i) {
@@ -278,12 +202,11 @@ class GraphConnectivity {
       else
         kind[i] = 0;
     });
-    // Non-tree removals and weight drops: phase-concurrent tombstone erases
-    // (distinct keys by dedupe above); the cut batch falls out of a
-    // parallel filter over the classification.
+    // Non-tree removals: phase-concurrent tombstone erases (distinct keys
+    // by the dedupe above); the cut batch falls out of a parallel filter
+    // over the classification.
     par::parallel_for(0, cand.size(), [&](size_t i) {
       if (kind[i] == 1) nontree_.erase(cand[i].u, cand[i].v);
-      if (kind[i] != 0) weight_.erase(edge_key(cand[i].u, cand[i].v));
     });
     EdgeList cut_batch =
         par::filter_index(cand, [&](size_t i) { return kind[i] == 2; });
@@ -300,21 +223,17 @@ class GraphConnectivity {
 
   // --- Introspection --------------------------------------------------------
   size_t memory_bytes() const {
-    size_t total = sizeof(*this) + tree_.memory_bytes() +
-                   nontree_.memory_bytes() + weight_.memory_bytes() +
-                   engine_.memory_bytes();
-    if constexpr (requires(const Backend& b) { b.memory_bytes(); })
-      total += forest_.memory_bytes();
-    return total;
+    return sizeof(*this) + tree_.memory_bytes() + nontree_.memory_bytes() +
+           engine_.memory_bytes() + forest_.memory_bytes();
   }
 
   // Invariant audit: the forest spans exactly the graph's components, every
   // non-tree edge is intra-component, and the counters agree with a
   // from-scratch labeling. Failure codes (entity = a vertex of the edge,
   // or 0 for counter drift):
-  //   #101 component count drift     #104 edge missing its weight entry
+  //   #101 component count drift     #103 crossing non-tree edge
   //   #102 tree edge count drift     #105 spanning forest out of sync
-  //   #103 crossing non-tree edge
+  // (#104 is unused: an edge's weight lives in its own store entry.)
   core::InvariantReport validate() const {
     core::InvariantReport rep;
     std::vector<Vertex> label = component_labels(tree_);
@@ -327,7 +246,6 @@ class GraphConnectivity {
     for (Vertex v = 0; v < n_ && !rep.truncated; ++v) {
       nontree_.for_each_neighbor(v, [&](Vertex y) {
         if (label[v] != label[y]) rep.add(103, v, "crossing non-tree edge");
-        if (!weight_.contains(edge_key(v, y))) rep.add(104, v, "missing weight");
       });
       tree_.for_each_neighbor(v, [&](Vertex y) {
         if (!forest_.connected(v, y)) rep.add(105, v, "forest out of sync");
@@ -347,9 +265,7 @@ class GraphConnectivity {
   // hierarchy (via ForestSerializer) plus tree/non-tree edge sets, edge
   // weights, and the component counter, all in one checksummed file
   // written with the temp + fsync + rename protocol.
-  recovery::RecoveryError save_checkpoint(const std::string& path) const
-    requires std::derived_from<Backend, core::UfoCore>
-  {
+  recovery::RecoveryError save_checkpoint(const std::string& path) const {
     UFO_SPAN("recovery.conn_save");
     recovery::SnapshotWriter w;
     recovery::ForestSerializer::append(w, forest_);
@@ -359,12 +275,17 @@ class GraphConnectivity {
     w.add_section(recovery::kSecConnMeta, std::move(meta));
     w.add_section(recovery::kSecTreeEdges, dump_edges(tree_));
     w.add_section(recovery::kSecNontreeEdges, dump_edges(nontree_));
+    // One (edge key, weight) pair per edge, from both stores.
     recovery::ByteBuf ws;
-    ws.put_u64(weight_.size());
-    weight_.for_each([&](uint64_t k, int64_t wt) {
-      ws.put_u64(k);
-      ws.put_i64(wt);
-    });
+    ws.put_u64(num_edges());
+    for (const EdgeStore* s : {&tree_, &nontree_})
+      for (Vertex v = 0; v < n_; ++v)
+        s->for_each_weighted(v, [&](Vertex y, Weight wt) {
+          if (v < y) {
+            ws.put_u64(edge_key(v, y));
+            ws.put_i64(wt);
+          }
+        });
     w.add_section(recovery::kSecWeights, std::move(ws));
     return w.commit(path);
   }
@@ -375,15 +296,12 @@ class GraphConnectivity {
   // damaged kWeights section degrades to default weights when allowed.
   recovery::RecoveryError load_checkpoint(
       const std::string& path, const recovery::LoadOptions& opts = {},
-      recovery::LoadStats* stats = nullptr)
-    requires std::derived_from<Backend, core::UfoCore>
-  {
+      recovery::LoadStats* stats = nullptr) {
     using recovery::RecoveryError;
     UFO_SPAN("recovery.conn_load");
     recovery::LoadStats local;
     recovery::LoadStats& st = stats ? *stats : local;
-    if (tree_.edges() != 0 || nontree_.edges() != 0 || components_ != n_ ||
-        !weight_.empty())
+    if (tree_.edges() != 0 || nontree_.edges() != 0 || components_ != n_)
       return RecoveryError::kBadTarget;
     recovery::SnapshotReader r;
     RecoveryError e = r.open(path);
@@ -412,15 +330,12 @@ class GraphConnectivity {
       EdgeList nontree_edges;
       e = parse_edges(*ne, &nontree_edges);
       if (e != RecoveryError::kNone) return e;
-      for (const Edge& ed : tree_edges) {
-        if (!tree_.insert(ed.u, ed.v)) return RecoveryError::kInconsistent;
-        weight_.insert_or_assign(edge_key(ed.u, ed.v), 1);
-      }
-      for (const Edge& ed : nontree_edges) {
-        if (tree_.contains(ed.u, ed.v) || !nontree_.insert(ed.u, ed.v))
+      // Every edge starts at weight 1; the weights section overwrites.
+      for (const Edge& ed : tree_edges)
+        if (!tree_.insert(ed.u, ed.v, 1)) return RecoveryError::kInconsistent;
+      for (const Edge& ed : nontree_edges)
+        if (tree_.contains(ed.u, ed.v) || !nontree_.insert(ed.u, ed.v, 1))
           return RecoveryError::kInconsistent;
-        weight_.insert_or_assign(edge_key(ed.u, ed.v), 1);
-      }
       if (wsec && !wsec->corrupt) {
         recovery::Cursor wc(wsec->data, wsec->len);
         uint64_t count = wc.get_u64();
@@ -429,8 +344,13 @@ class GraphConnectivity {
         for (uint64_t i = 0; i < count; ++i) {
           uint64_t key = wc.get_u64();
           Weight wt = wc.get_i64();
-          if (!weight_.contains(key)) return RecoveryError::kInconsistent;
-          weight_.insert_or_assign(key, wt);
+          // The weight goes to whichever store holds the key's edge.
+          Vertex u = static_cast<Vertex>(key >> 32);
+          Vertex v = static_cast<Vertex>(key);
+          if (u >= v || v >= n_) return RecoveryError::kInconsistent;
+          EdgeStore& home = tree_.contains(u, v) ? tree_ : nontree_;
+          if (!home.contains(u, v)) return RecoveryError::kInconsistent;
+          home.insert_concurrent(u, v, wt);  // present: no slot needed
         }
       } else if (opts.allow_degraded) {
         st.degraded = true;
@@ -459,15 +379,6 @@ class GraphConnectivity {
   }
 
  private:
-  static constexpr bool kHasComponentId =
-      requires(const Backend& b, Vertex x) {
-        { b.component_id(x) } -> std::convertible_to<uint64_t>;
-      };
-  static constexpr bool kHasSubtreeSize =
-      requires(const Backend& b, Vertex x, Vertex p) {
-        { b.subtree_size(x, p) } -> std::convertible_to<size_t>;
-      };
-
   // Bulk-insert `edges` into `store`: reserve once + parallel inserts, or,
   // when the reservation's allocation fails, degrade to sequential
   // per-edge inserts (each grows incrementally, so a failed bulk
@@ -475,12 +386,12 @@ class GraphConnectivity {
   BatchStatus store_batch(EdgeStore& store, const EdgeList& edges) {
     if (store.try_reserve_batch(edges)) {
       par::parallel_for(0, edges.size(), [&](size_t i) {
-        store.insert_concurrent(edges[i].u, edges[i].v);
+        store.insert_concurrent(edges[i].u, edges[i].v, edges[i].w);
       });
       return BatchStatus::kOk;
     }
     UFO_STAT("conn.degraded_batches", 1);
-    for (const Edge& e : edges) store.insert(e.u, e.v);
+    for (const Edge& e : edges) store.insert(e.u, e.v, e.w);
     return BatchStatus::kDegradedAlloc;
   }
 
@@ -516,50 +427,6 @@ class GraphConnectivity {
     return recovery::RecoveryError::kNone;
   }
 
-  // Pre-unite staged endpoints that share a forest component. Fast path: one
-  // component_id per endpoint (computed in parallel) and a group-by. Generic
-  // backends fall back to representative scanning with pairwise connected()
-  // queries (O(endpoints x distinct components) worst case).
-  void seed_components(const std::vector<Vertex>& verts,
-                       util::UnionFind* stage) {
-    if constexpr (kHasComponentId) {
-      std::vector<std::pair<uint64_t, Vertex>> keyed =
-          par::map(verts.size(), [&](size_t i) {
-            return std::make_pair(forest_.component_id(verts[i]),
-                                  static_cast<Vertex>(i));
-          });
-      for (auto range : par::group_by_key(keyed))
-        for (size_t i = range.first + 1; i < range.second; ++i)
-          stage->unite(keyed[range.first].second, keyed[i].second);
-    } else {
-      std::vector<Vertex> reps;  // one endpoint per distinct component
-      for (size_t i = 0; i < verts.size(); ++i) {
-        bool found = false;
-        for (Vertex r : reps) {
-          if (forest_.connected(verts[i], verts[r])) {
-            stage->unite(static_cast<Vertex>(i), r);
-            found = true;
-            break;
-          }
-        }
-        if (!found) reps.push_back(static_cast<Vertex>(i));
-      }
-    }
-  }
-
-  // Full BFS of v's spanning-forest component into `side` (+ visit order).
-  void collect_component(Vertex v, std::unordered_set<Vertex>* side,
-                         std::vector<Vertex>* order) const {
-    side->clear();
-    side->insert(v);
-    order->assign(1, v);
-    for (size_t head = 0; head < order->size(); ++head) {
-      tree_.for_each_neighbor((*order)[head], [&](Vertex y) {
-        if (side->insert(y).second) order->push_back(y);
-      });
-    }
-  }
-
   // Replacement search for the tree edges in `cut`, already cut from
   // forest_ and tree_ and counted in components_. If the engine's
   // zero-progress safety valve fires (unreachable by the termination
@@ -569,14 +436,13 @@ class GraphConnectivity {
   // O(m), and correct whatever state the engine left.
   BatchStatus find_replacements(const EdgeList& cut, bool multi_piece) {
     bool stalled = false;
-    BatchStatus st = engine_.run(forest_, tree_, nontree_, weight_, cut, n_,
+    BatchStatus st = engine_.run(forest_, tree_, nontree_, cut, n_,
                                  multi_piece, &components_, &stalled);
     if (!stalled) return st;
     EdgeList crossing;
     for (Vertex v = 0; v < n_; ++v)
-      nontree_.for_each_neighbor(v, [&](Vertex y) {
-        if (v < y && !forest_.connected(v, y))
-          crossing.push_back(Edge{v, y, weight_.get(edge_key(v, y), 1)});
+      nontree_.for_each_weighted(v, [&](Vertex y, Weight w) {
+        if (v < y && !forest_.connected(v, y)) crossing.push_back(Edge{v, y, w});
       });
     for (const Edge& e : crossing) nontree_.erase(e.u, e.v);
     if (batch_insert(crossing) == BatchStatus::kDegradedAlloc)
@@ -586,9 +452,8 @@ class GraphConnectivity {
 
   size_t n_;
   Backend forest_;           // spanning forest (tree edges only)
-  EdgeStore tree_;           // its adjacency, for O(1) membership + BFS
-  EdgeStore nontree_;        // replacement-edge candidates
-  par::ConcurrentMap weight_;  // edge key -> weight, all edges
+  EdgeStore tree_;           // its weighted adjacency: membership + BFS
+  EdgeStore nontree_;        // weighted replacement-edge candidates
   size_t components_;
   ReplacementSearch<Backend> engine_;  // pooled parallel replacement search
 };

@@ -1,12 +1,14 @@
-// Per-vertex adjacency store on the phase-concurrent hash set
+// Per-vertex weighted adjacency store on the phase-concurrent hash map
 // (parallel/hash_table.h). The connectivity subsystem keeps two of these:
 // one for spanning-forest (tree) edges, one for non-tree edges awaiting
-// promotion as replacement edges.
+// promotion as replacement edges. Each edge {u, v} is one entry in each
+// endpoint's map (neighbour -> weight), and that is the only place its
+// weight lives: moving an edge between the stores moves its weight.
 //
-// Concurrency model matches ConcurrentSet's: lookups/inserts/erases are safe
+// Concurrency model matches ConcurrentMap's: lookups/inserts/erases are safe
 // within a phase, capacity growth happens only at phase boundaries
-// (reserve_batch before a concurrent insert phase). The sequential insert()
-// grows on demand.
+// (try_reserve_batch before a concurrent insert phase). The sequential
+// insert() grows on demand.
 #pragma once
 
 #include <atomic>
@@ -40,20 +42,23 @@ class EdgeStore {
 
   bool contains(Vertex u, Vertex v) const { return adj_[u].contains(v); }
 
-  // Sequential insert; grows the endpoint sets as needed. Returns true iff
-  // the edge was absent.
-  bool insert(Vertex u, Vertex v) {
+  // Weight of the stored edge {u, v} (1 if absent; read phase).
+  Weight weight(Vertex u, Vertex v) const { return adj_[u].get(v, Weight{1}); }
+
+  // Sequential insert-or-assign of {u, v} with weight w; grows the endpoint
+  // maps as needed. Returns true iff the edge was absent.
+  bool insert(Vertex u, Vertex v, Weight w) {
     adj_[u].reserve(1);
     adj_[v].reserve(1);
-    return insert_concurrent(u, v);
+    return insert_concurrent(u, v, w);
   }
 
-  // Phase-concurrent insert: distinct edges may be inserted from parallel
-  // tasks, provided reserve_batch() covered the endpoints at the preceding
-  // phase boundary.
-  bool insert_concurrent(Vertex u, Vertex v) {
-    bool fresh = adj_[u].insert(v);
-    adj_[v].insert(u);
+  // Phase-concurrent insert-or-assign: distinct edges may be inserted from
+  // parallel tasks, provided try_reserve_batch() covered the endpoints at
+  // the preceding phase boundary.
+  bool insert_concurrent(Vertex u, Vertex v, Weight w) {
+    bool fresh = adj_[u].insert_concurrent(v, w);
+    adj_[v].insert_concurrent(u, w);
     if (fresh) edges_.fetch_add(1, std::memory_order_relaxed);
     return fresh;
   }
@@ -68,7 +73,15 @@ class EdgeStore {
 
   template <class F>
   void for_each_neighbor(Vertex v, F&& f) const {
-    adj_[v].for_each([&](uint64_t key) { f(static_cast<Vertex>(key)); });
+    adj_[v].for_each(
+        [&](uint64_t key, Weight) { f(static_cast<Vertex>(key)); });
+  }
+
+  // f(neighbour, weight) for every edge at v (read-only phase).
+  template <class F>
+  void for_each_weighted(Vertex v, F&& f) const {
+    adj_[v].for_each(
+        [&](uint64_t key, Weight w) { f(static_cast<Vertex>(key), w); });
   }
 
   std::vector<Vertex> neighbors(Vertex v) const {
@@ -78,21 +91,12 @@ class EdgeStore {
     return out;
   }
 
-  // Phase boundary: grow every endpoint's set so a following concurrent
-  // insert phase over `edges` cannot overflow.
-  void reserve_batch(const EdgeList& edges) {
-    std::unordered_map<Vertex, size_t> extra;
-    for (const Edge& e : edges) {
-      ++extra[e.u];
-      ++extra[e.v];
-    }
-    for (const auto& [v, k] : extra) adj_[v].reserve(k);
-  }
-
-  // reserve_batch() with allocation failure reported instead of thrown.
-  // Returns false as soon as one endpoint's growth fails; every set is
-  // still valid (try_reserve leaves a set untouched on failure), so the
-  // caller can fall back to sequential per-edge inserts.
+  // Phase boundary: grow every endpoint's map so a following concurrent
+  // insert phase over `edges` cannot overflow. Allocation failure is
+  // reported instead of thrown: returns false as soon as one endpoint's
+  // growth fails; every map is still valid (try_reserve leaves a map
+  // untouched on failure), so the caller can fall back to sequential
+  // per-edge inserts.
   bool try_reserve_batch(const EdgeList& edges) {
     std::unordered_map<Vertex, size_t> extra;
     for (const Edge& e : edges) {
@@ -104,14 +108,16 @@ class EdgeStore {
     return true;
   }
 
+  // Every map's memory_bytes() counts its own header, so adj_'s buffer
+  // (exactly n headers) is not counted twice.
   size_t memory_bytes() const {
-    size_t total = sizeof(*this) + adj_.capacity() * sizeof(adj_[0]);
+    size_t total = sizeof(*this);
     for (const auto& s : adj_) total += s.memory_bytes();
     return total;
   }
 
  private:
-  std::vector<par::ConcurrentSet> adj_;
+  std::vector<par::ConcurrentMap> adj_;
   std::atomic<size_t> edges_{0};
 };
 

@@ -29,10 +29,11 @@
 //                edge per vertex; crossing-free vertices leave pending
 //                permanently (components only merge afterwards, so internal
 //                edges stay internal).
-//   D. promote — dedupe candidates, stage them through a union-find seeded
-//                by forest component (mutually independent set), then ONE
-//                forest.batch_link for the whole round; each promotion
-//                merges the groups at its endpoints.
+//   D. promote — dedupe candidates, stage them through a union-find over
+//                forest components (mutually independent set), then ONE
+//                forest.batch_link for the whole round; each promoted edge
+//                moves with its weight from the non-tree to the tree store
+//                and merges the groups at its endpoints.
 //   E. resolve — parallel over pairs: done when reconnected, or certified
 //                (complete + empty pending) on one side (single cut) or both
 //                sides (multi-piece batch — see connectivity.h's invariant).
@@ -57,11 +58,11 @@
 #include <vector>
 
 #include "connectivity/edge_store.h"
+#include "core/ufo_core.h"
 #include "graph/forest.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "parallel/frontier.h"
-#include "parallel/hash_table.h"
 #include "parallel/primitives.h"
 #include "parallel/scheduler.h"
 #include "util/fault.h"
@@ -75,20 +76,66 @@ namespace ufo::conn {
 // every edge was applied, only the parallel fast path was lost.
 enum class BatchStatus { kOk, kDegradedAlloc };
 
-template <class Backend>
+// Store every edge as u < v, sort by edge_key and keep the first occurrence
+// of each key: the canonical form batch_insert, batch_erase and the
+// engine's promotion stage all work on.
+inline void canonicalize_edges(EdgeList* edges) {
+  EdgeList& es = *edges;
+  par::parallel_for(0, es.size(), [&](size_t i) {
+    if (es[i].u > es[i].v) std::swap(es[i].u, es[i].v);
+  });
+  auto key = [](const Edge& e) { return edge_key(e.u, e.v); };
+  par::sort(es, [&](const Edge& a, const Edge& b) { return key(a) < key(b); });
+  es.erase(std::unique(es.begin(), es.end(),
+                       [&](const Edge& a, const Edge& b) {
+                         return key(a) == key(b);
+                       }),
+           es.end());
+}
+
+// Stage candidate links for one Backend::batch_link: accept[j] = 1 iff
+// candidate j joins two forest components that no earlier accepted
+// candidate already joined. The accepted set is mutually independent
+// (Section 5 contract), so one batch_link applies it in any order, and it
+// is exactly the set a Kruskal pass in candidate order accepts over a
+// union-find seeded with the forest's components. Serves batch_insert and
+// every promotion round of the engine.
+inline std::vector<uint8_t> stage_candidates(const core::UfoCore& forest,
+                                             const EdgeList& cands) {
+  size_t m = cands.size();
+  std::vector<uint64_t> ids = par::map(2 * m, [&](size_t i) {
+    const Edge& e = cands[i >> 1];
+    return forest.component_id((i & 1) ? e.v : e.u);
+  });
+  // Dense ids over the distinct components, for the union-find.
+  std::vector<uint32_t> cidx(2 * m);
+  std::unordered_map<uint64_t, uint32_t> dense;
+  dense.reserve(2 * m);
+  for (size_t i = 0; i < ids.size(); ++i) {
+    auto [it, fresh] =
+        dense.emplace(ids[i], static_cast<uint32_t>(dense.size()));
+    cidx[i] = it->second;
+  }
+  util::UnionFind uf(dense.size());
+  std::vector<uint8_t> accept(m);
+  for (size_t j = 0; j < m; ++j)
+    accept[j] = uf.unite(cidx[2 * j], cidx[2 * j + 1]) ? 1 : 0;
+  return accept;
+}
+
+template <std::derived_from<core::UfoCore> Backend>
 class ReplacementSearch {
  public:
   // Run replacement searches for `cut_batch` (the tree edges just cut from
-  // `forest`; their tree_ entries already erased). Promoted edges move from
-  // `nontree` to `tree` and decrement *components. *stalled is set when
-  // the zero-progress safety valve stopped the search with pairs still
-  // unsettled; the caller then repairs the forest (connectivity.h). `n` is
-  // the vertex count, `multi_piece` the batch's certification rule (see
-  // connectivity.h).
+  // `forest`; their tree_ entries already erased). Promoted edges move with
+  // their weights from `nontree` to `tree` and decrement *components.
+  // *stalled is set when the zero-progress safety valve stopped the search
+  // with pairs still unsettled; the caller then repairs the forest
+  // (connectivity.h). `n` is the vertex count, `multi_piece` the batch's
+  // certification rule (see connectivity.h).
   BatchStatus run(Backend& forest, EdgeStore& tree, EdgeStore& nontree,
-                  const par::ConcurrentMap& weights, const EdgeList& cut_batch,
-                  size_t n, bool multi_piece, size_t* components,
-                  bool* stalled) {
+                  const EdgeList& cut_batch, size_t n, bool multi_piece,
+                  size_t* components, bool* stalled) {
     UFO_SPAN("conn.search");
     BatchStatus status = BatchStatus::kOk;
     const size_t k = cut_batch.size();
@@ -274,21 +321,13 @@ class ReplacementSearch {
       size_t promoted = 0;
       if (!cands.empty()) {
         UFO_SPAN("conn.promote");
-        par::sort(cands, [](const Edge& a, const Edge& b) {
-          return edge_key(a.u, a.v) < edge_key(b.u, b.v);
-        });
-        cands.erase(std::unique(cands.begin(), cands.end(),
-                                [](const Edge& a, const Edge& b) {
-                                  return edge_key(a.u, a.v) ==
-                                         edge_key(b.u, b.v);
-                                }),
-                    cands.end());
+        canonicalize_edges(&cands);
         std::vector<uint8_t> accept = stage_candidates(forest, cands);
         EdgeList winners =
             par::filter_index(cands, [&](size_t j) { return accept[j] != 0; });
+        // Read each weight before the edge leaves the non-tree store.
         par::parallel_for(0, winners.size(), [&](size_t j) {
-          winners[j].w =
-              weights.get(edge_key(winners[j].u, winners[j].v), Weight{1});
+          winners[j].w = nontree.weight(winners[j].u, winners[j].v);
         });
         // Staging guarantees mutual independence: one backend batch per
         // round, the whole point of bulk promotion.
@@ -298,11 +337,11 @@ class ReplacementSearch {
         UFO_STAT("conn.promotions", static_cast<int64_t>(promoted));
         if (tree.try_reserve_batch(winners)) {
           par::parallel_for(0, winners.size(), [&](size_t j) {
-            tree.insert_concurrent(winners[j].u, winners[j].v);
+            tree.insert_concurrent(winners[j].u, winners[j].v, winners[j].w);
           });
         } else {
           UFO_STAT("conn.degraded_batches", 1);
-          for (const Edge& e : winners) tree.insert(e.u, e.v);
+          for (const Edge& e : winners) tree.insert(e.u, e.v, e.w);
           status = BatchStatus::kDegradedAlloc;
         }
         par::parallel_for(0, winners.size(), [&](size_t j) {
@@ -311,17 +350,23 @@ class ReplacementSearch {
         // Group bookkeeping per promotion (serial): the emitter's group and
         // the far endpoint's group are now one component — merge them, or,
         // if the far endpoint was unclaimed, claim it and put it on the
-        // frontier so its piece gets expanded and scanned.
+        // frontier so its piece gets expanded and scanned. Canonical order
+        // hides which endpoint emitted; the emitter is the claimed one.
         for (const Edge& e : winners) {
+          Vertex far = e.v;
           uint32_t ox = claims_.owner_of(e.u);
           uint32_t oy = claims_.owner_of(e.v);
+          if (ox == par::ClaimTable::kUnclaimed) {
+            std::swap(ox, oy);
+            far = e.u;
+          }
           if (oy != par::ClaimTable::kUnclaimed) {
             if (uf_.find(ox) != uf_.find(oy)) merge_groups(ox, oy);
           } else {
             uint32_t r = uf_.find(ox);
-            claims_.claim_or_owner(e.v, r);
-            arena_.at(qh_[r]).push_back(e.v);
-            arena_.at(ph_[r]).push_back(e.v);
+            claims_.claim_or_owner(far, r);
+            arena_.at(qh_[r]).push_back(far);
+            arena_.at(ph_[r]).push_back(far);
             complete_[r] = 0;
           }
         }
@@ -406,10 +451,6 @@ class ReplacementSearch {
   // stay below kNoVertex - 1).
   static constexpr Vertex kUnscanned = kNoVertex - 1;
   static constexpr par::FrontierArena::Handle kNone = par::FrontierArena::kNone;
-  static constexpr bool kHasComponentId =
-      requires(const Backend& b, Vertex x) {
-        { b.component_id(x) } -> std::convertible_to<uint64_t>;
-      };
 
   void refresh_leads(uint32_t S) {
     for (uint32_t s = 0; s < S; ++s) lead_[s] = uf_.find(s);
@@ -456,60 +497,9 @@ class ReplacementSearch {
     ph_[o] = kNone;
   }
 
-  // Stage candidates through a union-find over their endpoints' forest
-  // components (mirrors batch_insert's seeding): accept[j] = 1 iff candidate
-  // j's endpoints were in distinct components not already joined by an
-  // earlier accepted candidate — the accepted set is mutually independent,
-  // so one batch_link applies it in any order.
-  std::vector<uint8_t> stage_candidates(const Backend& forest,
-                                        const EdgeList& cands) {
-    size_t m = cands.size();
-    std::vector<uint32_t> cidx(2 * m);
-    size_t ncomp = 0;
-    if constexpr (kHasComponentId) {
-      std::vector<uint64_t> ids = par::map(2 * m, [&](size_t i) {
-        const Edge& e = cands[i >> 1];
-        return static_cast<uint64_t>(forest.component_id((i & 1) ? e.v : e.u));
-      });
-      std::unordered_map<uint64_t, uint32_t> dense;
-      dense.reserve(2 * m);
-      for (size_t i = 0; i < ids.size(); ++i) {
-        auto [it, fresh] =
-            dense.emplace(ids[i], static_cast<uint32_t>(dense.size()));
-        cidx[i] = it->second;
-      }
-      ncomp = dense.size();
-    } else {
-      std::vector<Vertex> reps;  // one endpoint per distinct component
-      for (size_t i = 0; i < 2 * m; ++i) {
-        const Edge& e = cands[i >> 1];
-        Vertex v = (i & 1) ? e.v : e.u;
-        bool found = false;
-        for (uint32_t r = 0; r < reps.size(); ++r) {
-          if (forest.connected(v, reps[r])) {
-            cidx[i] = r;
-            found = true;
-            break;
-          }
-        }
-        if (!found) {
-          cidx[i] = static_cast<uint32_t>(reps.size());
-          reps.push_back(v);
-        }
-      }
-      ncomp = reps.size();
-    }
-    stage_uf_.reset(ncomp);
-    std::vector<uint8_t> accept(m);
-    for (size_t j = 0; j < m; ++j)
-      accept[j] = stage_uf_.unite(cidx[2 * j], cidx[2 * j + 1]) ? 1 : 0;
-    return accept;
-  }
-
   par::ClaimTable claims_;
   par::FrontierArena arena_;
-  util::UnionFind uf_{0};        // over search ids: group membership
-  util::UnionFind stage_uf_{0};  // over components: per-round staging
+  util::UnionFind uf_{0};  // over search ids: group membership
   std::vector<par::FrontierArena::Handle> qh_, ph_;  // per-root BFS queue /
                                                      // pending-scan handles
   std::vector<size_t> head_, budget_;

@@ -469,9 +469,9 @@ void UfoCore::rake_index_merge_runs(uint32_t p,
     });
     marks = par::map(n, [&](size_t i) { return cold_[rakes[i]].contrib_mark; });
     marks = par::filter(marks, [&](int64_t m) { return m < kInf; });
-    par::par_sort(depths);
-    par::par_sort(diams);
-    par::par_sort(marks);
+    par::sort(depths);
+    par::sort(diams);
+    par::sort(marks);
   } else {
     marks.reserve(n);
     for (size_t i = 0; i < n; ++i) {
@@ -976,41 +976,33 @@ UfoCore::RepPath UfoCore::climb_rep_path(Vertex from, uint32_t stop,
   return rp;
 }
 
-// Value of f from the climbed endpoint (inside `child`) to the center
+// Aggregates from the climbed endpoint (inside `child`) to the center
 // vertex of the superunary LCA cluster.
-void UfoCore::side_to_center(uint32_t lca, uint32_t child, const RepPath& rp,
-                             Weight* sum, Weight* mx, int64_t* len) const {
+UfoCore::PathAgg UfoCore::side_to_center(uint32_t lca, uint32_t child,
+                                         const RepPath& rp) const {
   const Cold& cd = cold_[child];
   if (child == hot_[lca].center_child) {
     Vertex b = cd.bv[0];
     int j = boundary_slot(cd, b);
     assert(j >= 0);
-    *sum = rp.sum[j];
-    *mx = rp.max[j];
-    *len = rp.len[j];
-  } else {
-    const Adj& e = nbrs(child)[0];
-    int j = boundary_slot(cd, e.my_end);
-    assert(j >= 0);
-    *sum = rp.sum[j] + e.w;
-    *mx = std::max(rp.max[j], e.w);
-    *len = rp.len[j] + 1;
+    return {rp.sum[j], rp.max[j], rp.len[j]};
   }
+  const Adj& e = nbrs(child)[0];
+  int j = boundary_slot(cd, e.my_end);
+  assert(j >= 0);
+  return {rp.sum[j] + e.w, std::max(rp.max[j], e.w), rp.len[j] + 1};
 }
 
-Weight UfoCore::path_sum(Vertex u, Vertex v) const {
-  if (u == v) return 0;
+UfoCore::PathAgg UfoCore::path_aggregate(Vertex u, Vertex v) const {
   uint32_t lca = lca_cluster(leaf_id(u), leaf_id(v));
   uint32_t cu = 0, cv = 0;
   RepPath ru = climb_rep_path(u, lca, &cu);
   RepPath rv = climb_rep_path(v, lca, &cv);
   const Hot& L = hot_[lca];
   if (L.center_child != 0) {
-    Weight su, mu, sv, mv;
-    int64_t lu, lv;
-    side_to_center(lca, cu, ru, &su, &mu, &lu);
-    side_to_center(lca, cv, rv, &sv, &mv, &lv);
-    return su + sv;
+    PathAgg a = side_to_center(lca, cu, ru);
+    PathAgg b = side_to_center(lca, cv, rv);
+    return {a.sum + b.sum, std::max(a.max, b.max), a.len + b.len};
   }
   assert(L.children.size == 2);
   Span<const uint32_t> kids = children(lca);
@@ -1019,61 +1011,35 @@ Weight UfoCore::path_sum(Vertex u, Vertex v) const {
   int su = boundary_slot(cold_[cu], eu);
   int sv = boundary_slot(cold_[cv], ev);
   assert(su >= 0 && sv >= 0);
-  return ru.sum[su] + L.merge_w + rv.sum[sv];
+  return {ru.sum[su] + L.merge_w + rv.sum[sv],
+          std::max({ru.max[su], L.merge_w, rv.max[sv]}),
+          ru.len[su] + 1 + rv.len[sv]};
+}
+
+Weight UfoCore::path_sum(Vertex u, Vertex v) const {
+  if (u == v) return 0;
+  return path_aggregate(u, v).sum;
 }
 
 Weight UfoCore::path_max(Vertex u, Vertex v) const {
   assert(u != v);
-  uint32_t lca = lca_cluster(leaf_id(u), leaf_id(v));
-  uint32_t cu = 0, cv = 0;
-  RepPath ru = climb_rep_path(u, lca, &cu);
-  RepPath rv = climb_rep_path(v, lca, &cv);
-  const Hot& L = hot_[lca];
-  if (L.center_child != 0) {
-    Weight su, mu, sv, mv;
-    int64_t lu, lv;
-    side_to_center(lca, cu, ru, &su, &mu, &lu);
-    side_to_center(lca, cv, rv, &sv, &mv, &lv);
-    return std::max(mu, mv);
-  }
-  Span<const uint32_t> kids = children(lca);
-  Vertex eu = (kids[0] == cu) ? L.merge_u : L.merge_v;
-  Vertex ev = (kids[0] == cv) ? L.merge_u : L.merge_v;
-  int su = boundary_slot(cold_[cu], eu);
-  int sv = boundary_slot(cold_[cv], ev);
-  return std::max({ru.max[su], L.merge_w, rv.max[sv]});
+  return path_aggregate(u, v).max;
 }
 
 int64_t UfoCore::path_length(Vertex u, Vertex v) const {
   if (u == v) return 0;
-  uint32_t lca = lca_cluster(leaf_id(u), leaf_id(v));
-  uint32_t cu = 0, cv = 0;
-  RepPath ru = climb_rep_path(u, lca, &cu);
-  RepPath rv = climb_rep_path(v, lca, &cv);
-  const Hot& L = hot_[lca];
-  if (L.center_child != 0) {
-    Weight su, mu, sv, mv;
-    int64_t lu, lv;
-    side_to_center(lca, cu, ru, &su, &mu, &lu);
-    side_to_center(lca, cv, rv, &sv, &mv, &lv);
-    return lu + lv;
-  }
-  Span<const uint32_t> kids = children(lca);
-  Vertex eu = (kids[0] == cu) ? L.merge_u : L.merge_v;
-  Vertex ev = (kids[0] == cv) ? L.merge_u : L.merge_v;
-  int su = boundary_slot(cold_[cu], eu);
-  int sv = boundary_slot(cold_[cv], ev);
-  return ru.len[su] + 1 + rv.len[sv];
+  return path_aggregate(u, v).len;
 }
 
-Weight UfoCore::subtree_sum(Vertex v, Vertex p) const {
+template <class T>
+int64_t UfoCore::subtree_walk(Vertex v, Vertex p, T Cold::*field) const {
   assert(has_edge(v, p));
   uint32_t lca = lca_cluster(leaf_id(v), leaf_id(p));
   uint32_t cv = leaf_id(v), cp = leaf_id(p);
   while (hot_[cv].parent != lca) cv = hot_[cv].parent;
   while (hot_[cp].parent != lca) cp = hot_[cp].parent;
   const Cold& V = cold_[cv];
-  Weight acc = V.sub_sum;
+  int64_t acc = V.*field;
   bool in[2] = {false, false};
   for (int i = 0; i < 2; ++i)
     if (V.bv[i] != kNoVertex) in[i] = true;
@@ -1090,11 +1056,11 @@ Weight UfoCore::subtree_sum(Vertex v, Vertex p) const {
         Vertex b = xd.bv[0];
         int jb = boundary_slot(xd, b);
         assert(jb >= 0);
-        bool b_in = in[jb];
+        bool b_in = jb >= 0 && in[jb];
         for (uint32_t s : children(pid)) {
           if (s == x) continue;
           if (first && s == cp) continue;  // the (v,p) edge crosses here
-          if (b_in) acc += cold_[s].sub_sum;
+          if (b_in) acc += cold_[s].*field;
         }
         for (int i = 0; i < 2; ++i)
           if (pd.bv[i] != kNoVertex) nin[i] = b_in;
@@ -1103,10 +1069,10 @@ Weight UfoCore::subtree_sum(Vertex v, Vertex p) const {
         const Adj& e = nbrs(x)[0];
         int j = boundary_slot(xd, e.my_end);
         assert(j >= 0);
-        bool crossing = in[j] && !first;
+        bool crossing = j >= 0 && in[j] && !first;
         if (crossing) {
           for (uint32_t s : children(pid))
-            if (s != x) acc += cold_[s].sub_sum;
+            if (s != x) acc += cold_[s].*field;
         }
         for (int i = 0; i < 2; ++i)
           if (pd.bv[i] != kNoVertex) nin[i] = crossing;
@@ -1116,7 +1082,7 @@ Weight UfoCore::subtree_sum(Vertex v, Vertex p) const {
         if (pd.bv[i] == kNoVertex) continue;
         int j = boundary_slot(xd, pd.bv[i]);
         assert(j >= 0);
-        nin[i] = in[j];
+        nin[i] = j >= 0 && in[j];
       }
     } else {
       Span<const uint32_t> kids = children(pid);
@@ -1126,7 +1092,7 @@ Weight UfoCore::subtree_sum(Vertex v, Vertex p) const {
       const Cold& sd = cold_[sib];
       int jx = boundary_slot(xd, xe);
       bool sib_inside = jx >= 0 && in[jx] && !(first && sib == cp);
-      if (sib_inside) acc += sd.sub_sum;
+      if (sib_inside) acc += sd.*field;
       for (int i = 0; i < 2; ++i) {
         Vertex q = pd.bv[i];
         if (q == kNoVertex) continue;
@@ -1142,76 +1108,12 @@ Weight UfoCore::subtree_sum(Vertex v, Vertex p) const {
   return acc;
 }
 
+Weight UfoCore::subtree_sum(Vertex v, Vertex p) const {
+  return subtree_walk(v, p, &Cold::sub_sum);
+}
+
 size_t UfoCore::subtree_size(Vertex v, Vertex p) const {
-  assert(has_edge(v, p));
-  uint32_t lca = lca_cluster(leaf_id(v), leaf_id(p));
-  uint32_t cv = leaf_id(v), cp = leaf_id(p);
-  while (hot_[cv].parent != lca) cv = hot_[cv].parent;
-  while (hot_[cp].parent != lca) cp = hot_[cp].parent;
-  const Cold& V = cold_[cv];
-  size_t acc = V.n_verts;
-  bool in[2] = {false, false};
-  for (int i = 0; i < 2; ++i)
-    if (V.bv[i] != kNoVertex) in[i] = true;
-  uint32_t x = cv;
-  bool first = true;
-  while (hot_[x].parent != 0) {
-    uint32_t pid = hot_[x].parent;
-    const Hot& ph = hot_[pid];
-    const Cold& pd = cold_[pid];
-    const Cold& xd = cold_[x];
-    bool nin[2] = {false, false};
-    if (ph.center_child != 0) {
-      if (x == ph.center_child) {
-        Vertex b = xd.bv[0];
-        int jb = boundary_slot(xd, b);
-        bool b_in = jb >= 0 && in[jb];
-        for (uint32_t s : children(pid)) {
-          if (s == x) continue;
-          if (first && s == cp) continue;
-          if (b_in) acc += cold_[s].n_verts;
-        }
-        for (int i = 0; i < 2; ++i)
-          if (pd.bv[i] != kNoVertex) nin[i] = b_in;
-      } else {
-        const Adj& e = nbrs(x)[0];
-        int j = boundary_slot(xd, e.my_end);
-        bool crossing = j >= 0 && in[j] && !first;
-        if (crossing) {
-          for (uint32_t s : children(pid))
-            if (s != x) acc += cold_[s].n_verts;
-        }
-        for (int i = 0; i < 2; ++i)
-          if (pd.bv[i] != kNoVertex) nin[i] = crossing;
-      }
-    } else if (ph.children.size == 1) {
-      for (int i = 0; i < 2; ++i) {
-        if (pd.bv[i] == kNoVertex) continue;
-        int j = boundary_slot(xd, pd.bv[i]);
-        nin[i] = j >= 0 && in[j];
-      }
-    } else {
-      Span<const uint32_t> kids = children(pid);
-      bool xfirst = (kids[0] == x);
-      uint32_t sib = xfirst ? kids[1] : kids[0];
-      Vertex xe = xfirst ? ph.merge_u : ph.merge_v;
-      const Cold& sd = cold_[sib];
-      int jx = boundary_slot(xd, xe);
-      bool sib_inside = jx >= 0 && in[jx] && !(first && sib == cp);
-      if (sib_inside) acc += sd.n_verts;
-      for (int i = 0; i < 2; ++i) {
-        Vertex q = pd.bv[i];
-        if (q == kNoVertex) continue;
-        int j = boundary_slot(xd, q);
-        nin[i] = j >= 0 ? in[j] : sib_inside;
-      }
-    }
-    in[0] = nin[0];
-    in[1] = nin[1];
-    x = pid;
-    first = false;
-  }
-  return acc;
+  return static_cast<size_t>(subtree_walk(v, p, &Cold::n_verts));
 }
 
 void UfoCore::path_milestone(Vertex u, Vertex v, Vertex* a, Vertex* b) const {

@@ -322,11 +322,24 @@ class UfoCore {
     if (c.bv[1] == bv) return 1;
     return -1;
   }
-  // Value of f from a climbed endpoint to the center vertex of the LCA's
+  // Sum, max and hop count of a tree path.
+  struct PathAgg {
+    Weight sum;
+    Weight max;
+    int64_t len;
+  };
+  // Aggregates from a climbed endpoint to the center vertex of the LCA's
   // superunary merge (used by path queries at superunary LCA clusters).
   // child = the LCA child on that endpoint's side.
-  void side_to_center(uint32_t lca, uint32_t child, const RepPath& rp,
-                      Weight* sum, Weight* mx, int64_t* len) const;
+  PathAgg side_to_center(uint32_t lca, uint32_t child,
+                         const RepPath& rp) const;
+  // The u-v path's aggregates (u != v, connected): the one lca / climb /
+  // combine walk behind path_sum, path_max and path_length.
+  PathAgg path_aggregate(Vertex u, Vertex v) const;
+  // Total of `field` over v's side of tree edge (v, p): the one walk behind
+  // subtree_sum (Cold::sub_sum) and subtree_size (Cold::n_verts).
+  template <class T>
+  int64_t subtree_walk(Vertex v, Vertex p, T Cold::*field) const;
 
   // Degree at which a cluster grows a hash index over its adjacency slab.
   static constexpr uint32_t kAdjIdxThreshold = 64;

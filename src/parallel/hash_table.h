@@ -1,13 +1,10 @@
-// Phase-concurrent open-addressing hash tables for 64-bit keys, in the style
-// of Gil--Matias--Vishkin / the ParlayLib hash table: concurrent inserts are
-// lock-free (linear probing with CAS), deletes use tombstones, and resizing
-// happens only at phase boundaries (single-threaded callers). This matches
-// how the paper's batch-update algorithms use tables: one phase inserts, a
-// barrier, then another phase reads or deletes.
-//
-// One probing core, ProbeTable<V>, backs both public tables: ConcurrentSet
-// (V = void: keys only) and ConcurrentMap (V = int64_t: a value array
-// parallel to the keys).
+// Phase-concurrent open-addressing hash map from 64-bit keys to int64_t
+// values, in the style of Gil--Matias--Vishkin / the ParlayLib hash table:
+// concurrent inserts are lock-free (linear probing with CAS), deletes use
+// tombstones, and resizing happens only at phase boundaries
+// (single-threaded callers). This matches how the paper's batch-update
+// algorithms use tables: one phase inserts, a barrier, then another phase
+// reads or deletes.
 #pragma once
 
 #include <atomic>
@@ -22,59 +19,39 @@
 
 namespace ufo::par {
 
-namespace internal {
-struct NoValues {};  // the set's value "array": empty, takes no space
-}  // namespace internal
-
-// Concurrency contract, both instantiations: concurrent inserts (for a
-// map, of distinct keys) and concurrent erases are safe within a phase,
-// lookups are safe in read phases, and capacity growth happens only at
-// phase boundaries. A map value written by insert_concurrent becomes
+// Concurrency contract: concurrent inserts and concurrent erases are safe
+// within a phase, lookups are safe in read phases, and capacity growth
+// happens only at phase boundaries. Concurrent inserts of one key must
+// carry equal values: exactly one caller reports the key fresh, and the
+// slot holds that value. A value written by insert_concurrent becomes
 // visible to readers after the phase barrier (the fork-join join publishes
 // it); phases that mix inserts and reads of the same key are not
-// supported, matching how the connectivity layer uses it (bulk weight
-// writes, then queries).
-template <class V>
-class ProbeTable {
-  static constexpr bool kMap = !std::is_void_v<V>;
-
+// supported, matching how the connectivity layer uses it (bulk edge
+// inserts, then queries). Telemetry counters keep their `hash.set.` names,
+// which the benchmark's per-layer metrics and the CI telemetry job read.
+class ConcurrentMap {
  public:
-  using Value = std::conditional_t<kMap, V, internal::NoValues>;
+  using Value = int64_t;
 
   static constexpr uint64_t kEmpty = ~0ULL;
   static constexpr uint64_t kTombstone = ~0ULL - 1;
 
-  explicit ProbeTable(size_t capacity_hint = 16) { reserve(capacity_hint); }
+  explicit ConcurrentMap(size_t capacity_hint = 0) { reserve(capacity_hint); }
 
-  ProbeTable(const ProbeTable& other) { copy_from(other); }
-  ProbeTable& operator=(const ProbeTable& other) {
+  ConcurrentMap(const ConcurrentMap& other) { copy_from(other); }
+  ConcurrentMap& operator=(const ConcurrentMap& other) {
     if (this != &other) copy_from(other);
     return *this;
   }
 
-  // Set: phase-concurrent insert. Returns true if the key was newly
-  // inserted. Keys kEmpty/kTombstone are reserved. The caller must
-  // guarantee enough capacity (use reserve() at a phase boundary before a
-  // concurrent phase).
-  bool insert(uint64_t key)
-    requires(!kMap)
-  {
-    return put(key, Value{});
-  }
+  // Phase-concurrent insert-or-assign. Returns true iff the key was
+  // absent. Keys kEmpty/kTombstone are reserved. The caller must guarantee
+  // enough capacity (use reserve() at a phase boundary before a concurrent
+  // phase).
+  bool insert_concurrent(uint64_t key, Value value) { return put(key, value); }
 
-  // Map: phase-concurrent insert-or-assign; keys must be distinct across
-  // concurrent callers and capacity pre-reserved. Returns true iff the key
-  // was absent.
-  bool insert_concurrent(uint64_t key, Value value)
-    requires kMap
-  {
-    return put(key, value);
-  }
-
-  // Map: sequential insert-or-assign; grows on demand.
-  bool insert_or_assign(uint64_t key, Value value)
-    requires kMap
-  {
+  // Sequential insert-or-assign; grows on demand.
+  bool insert_or_assign(uint64_t key, Value value) {
     reserve(1);
     return put(key, value);
   }
@@ -92,10 +69,10 @@ class ProbeTable {
                                              std::memory_order_acq_rel)) {
           tombs_.fetch_add(1, std::memory_order_relaxed);
           size_.fetch_sub(1, std::memory_order_relaxed);
-          if constexpr (!kMap) UFO_STAT("hash.set.erases", 1);
+          UFO_STAT("hash.set.erases", 1);
           return true;
         }
-        if constexpr (!kMap) UFO_STAT("hash.set.cas_retries", 1);
+        UFO_STAT("hash.set.cas_retries", 1);
         continue;
       }
       i = (i + 1) & mask;
@@ -104,10 +81,8 @@ class ProbeTable {
 
   bool contains(uint64_t key) const { return slot_of(key) != SIZE_MAX; }
 
-  // Map: value for `key`, or `fallback` when absent (read phase).
-  Value get(uint64_t key, Value fallback) const
-    requires kMap
-  {
+  // Value for `key`, or `fallback` when absent (read phase).
+  Value get(uint64_t key, Value fallback) const {
     size_t i = slot_of(key);
     return i == SIZE_MAX ? fallback : vals_[i].load(std::memory_order_relaxed);
   }
@@ -126,7 +101,8 @@ class ProbeTable {
 
   // Slot count needed to hold `live + extra` keys at load factor <= 1/2:
   // the smallest power of two >= 2 * (live + extra + 1), clamped to
-  // kMaxCapacity. Overflow-safe: `want / 2 <= need` is equivalent to
+  // kMaxCapacity (16 at least, so an empty table takes 16 slots).
+  // Overflow-safe: `want / 2 <= need` is equivalent to
   // `want < 2 * (need + 1)` for powers of two without ever multiplying.
   static constexpr size_t capacity_for(size_t live, size_t extra) {
     size_t need = live < SIZE_MAX - extra ? live + extra : SIZE_MAX;
@@ -153,25 +129,21 @@ class ProbeTable {
     // occupancy sum below cannot overflow.
     if (want <= keys_.size() && size() + tombstones() + n <= keys_.size() / 2)
       return;  // roomy enough, even counting tombstoned slots
-    UFO_STAT(kMap ? "hash.map.resizes" : "hash.set.resizes", 1);
+    UFO_STAT("hash.set.resizes", 1);
     // Allocate the new arrays before touching the table, so a bad_alloc
     // leaves it as it was (try_reserve relies on that); after the swaps
     // `keys`/`vals` hold the old table, rehashed from below.
     std::vector<std::atomic<uint64_t>> keys(want);
-    Values vals;
-    if constexpr (kMap) vals = Values(want);
+    std::vector<std::atomic<Value>> vals(want);
     for (auto& s : keys) s.store(kEmpty, std::memory_order_relaxed);
     keys_.swap(keys);
-    if constexpr (kMap) vals_.swap(vals);
+    vals_.swap(vals);
     size_.store(0, std::memory_order_relaxed);
     tombs_.store(0, std::memory_order_relaxed);
     for (size_t i = 0; i < keys.size(); ++i) {
       uint64_t k = keys[i].load(std::memory_order_relaxed);
       if (k == kEmpty || k == kTombstone) continue;
-      if constexpr (kMap)
-        put(k, vals[i].load(std::memory_order_relaxed));
-      else
-        put(k, Value{});
+      put(k, vals[i].load(std::memory_order_relaxed));
     }
   }
 
@@ -189,31 +161,18 @@ class ProbeTable {
     }
   }
 
-  // Set: snapshot of live keys (single-threaded or read-only phase).
-  std::vector<uint64_t> elements() const
-    requires(!kMap)
-  {
-    std::vector<uint64_t> out;
-    out.reserve(size());
-    for_each([&](uint64_t k) { out.push_back(k); });
-    return out;
-  }
-
-  // Visit every live key — f(key) for a set, f(key, value) for a map
-  // (read-only phase).
+  // Visit every live entry as f(key, value) (read-only phase).
   template <class F>
   void for_each(F&& f) const {
     // Locals, not keys_: `f` may write through references the compiler
     // cannot tell apart from keys_, which would reload it every slot.
     const std::atomic<uint64_t>* keys = keys_.data();
+    const std::atomic<Value>* vals = vals_.data();
     const size_t cap = keys_.size();
     for (size_t i = 0; i < cap; ++i) {
       uint64_t k = keys[i].load(std::memory_order_relaxed);
       if (k == kEmpty || k == kTombstone) continue;
-      if constexpr (kMap)
-        f(k, vals_[i].load(std::memory_order_relaxed));
-      else
-        f(k);
+      f(k, vals[i].load(std::memory_order_relaxed));
     }
   }
 
@@ -224,22 +183,15 @@ class ProbeTable {
   }
 
   size_t memory_bytes() const {
-    size_t total =
-        sizeof(*this) + keys_.size() * sizeof(std::atomic<uint64_t>);
-    if constexpr (kMap) total += vals_.size() * sizeof(std::atomic<Value>);
-    return total;
+    return sizeof(*this) +
+           keys_.size() * (sizeof(std::atomic<uint64_t>) +
+                           sizeof(std::atomic<Value>));
   }
 
  private:
-  using Values = std::conditional_t<kMap, std::vector<std::atomic<Value>>,
-                                    internal::NoValues>;
-
-  // The one insert loop. Returns true iff `key` was absent; a map also
-  // stores `value` in the key's slot either way.
-  bool put(uint64_t key, [[maybe_unused]] Value value) {
-    auto store = [&](size_t slot) {
-      if constexpr (kMap) vals_[slot].store(value, std::memory_order_relaxed);
-    };
+  // The one insert loop. Returns true iff `key` was absent; stores `value`
+  // in the key's slot either way.
+  bool put(uint64_t key, Value value) {
     size_t mask = keys_.size() - 1;
     size_t i = util::hash64(key) & mask;
     // Scan the full probe chain before claiming a tombstone: the key may
@@ -251,8 +203,8 @@ class ProbeTable {
     for (;;) {
       uint64_t cur = keys_[i].load(std::memory_order_relaxed);
       if (cur == key) {
-        store(i);
-        if constexpr (!kMap) UFO_STAT_HIST("hash.set.probe_len", probes);
+        vals_[i].store(value, std::memory_order_relaxed);
+        UFO_STAT_HIST("hash.set.probe_len", probes);
         return false;
       }
       if (cur == kTombstone && tomb == SIZE_MAX) tomb = i;
@@ -261,26 +213,24 @@ class ProbeTable {
         uint64_t expected = keys_[target].load(std::memory_order_relaxed);
         if (expected != kEmpty && expected != kTombstone) {
           // Lost the remembered slot to a concurrent insert; rescan.
-          if constexpr (!kMap) UFO_STAT("hash.set.cas_retries", 1);
+          UFO_STAT("hash.set.cas_retries", 1);
           tomb = SIZE_MAX;
           i = util::hash64(key) & mask;
           continue;
         }
         if (keys_[target].compare_exchange_strong(
                 expected, key, std::memory_order_acq_rel)) {
-          store(target);
+          vals_[target].store(value, std::memory_order_relaxed);
           if (expected == kTombstone)
             tombs_.fetch_sub(1, std::memory_order_relaxed);
           size_.fetch_add(1, std::memory_order_relaxed);
-          if constexpr (!kMap) {
-            UFO_STAT("hash.set.inserts", 1);
-            UFO_STAT_HIST("hash.set.probe_len", probes);
-          }
+          UFO_STAT("hash.set.inserts", 1);
+          UFO_STAT_HIST("hash.set.probe_len", probes);
           return true;
         }
-        if constexpr (!kMap) UFO_STAT("hash.set.cas_retries", 1);
+        UFO_STAT("hash.set.cas_retries", 1);
         if (expected == key) {
-          store(target);
+          vals_[target].store(value, std::memory_order_relaxed);
           return false;
         }
         continue;  // raced on the slot; retry
@@ -302,7 +252,7 @@ class ProbeTable {
     }
   }
 
-  void copy_from(const ProbeTable& other) {
+  void copy_from(const ConcurrentMap& other) {
     auto copy = [](auto& dst, const auto& src) {
       dst = std::remove_reference_t<decltype(dst)>(src.size());
       for (size_t i = 0; i < src.size(); ++i)
@@ -310,24 +260,21 @@ class ProbeTable {
                      std::memory_order_relaxed);
     };
     copy(keys_, other.keys_);
-    if constexpr (kMap) copy(vals_, other.vals_);
+    copy(vals_, other.vals_);
     size_.store(other.size(), std::memory_order_relaxed);
     tombs_.store(other.tombstones(), std::memory_order_relaxed);
   }
 
   std::vector<std::atomic<uint64_t>> keys_;
-  [[no_unique_address]] Values vals_;
+  std::vector<std::atomic<Value>> vals_;
   std::atomic<size_t> size_{0};
   std::atomic<size_t> tombs_{0};
 };
 
-using ConcurrentSet = ProbeTable<void>;
-using ConcurrentMap = ProbeTable<int64_t>;
-
-// EdgeStore keeps two per-vertex vectors of sets: the set must carry no
-// value storage beyond its key array and two counters.
-static_assert(sizeof(ConcurrentSet) <=
-              sizeof(std::vector<std::atomic<uint64_t>>) +
+// EdgeStore keeps two per-vertex vectors of maps: a map must carry nothing
+// beyond its key and value arrays and two counters.
+static_assert(sizeof(ConcurrentMap) <=
+              2 * sizeof(std::vector<std::atomic<uint64_t>>) +
                   2 * sizeof(std::atomic<size_t>));
 
 // Per-slot ownership claims for phase-concurrent algorithms: many tasks race

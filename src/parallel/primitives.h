@@ -89,25 +89,10 @@ T scan_exclusive(std::vector<T>& v) {
   return total;
 }
 
-// Keep the elements whose flag is set, preserving order.
-template <class T, class Pred>
-std::vector<T> filter(const std::vector<T>& v, Pred&& pred) {
-  size_t n = v.size();
-  std::vector<size_t> keep(n);
-  parallel_for(0, n, [&](size_t i) { keep[i] = pred(v[i]) ? 1 : 0; });
-  size_t total = scan_exclusive(keep);
-  std::vector<T> out(total);
-  parallel_for(0, n, [&](size_t i) {
-    bool last = (i + 1 == n);
-    size_t next = last ? total : keep[i + 1];
-    if (next != keep[i]) out[keep[i]] = v[i];
-  });
-  return out;
-}
-
-// filter() variant whose predicate sees the element *index* instead of the
-// value — used when the keep/drop decision lives in a parallel side array
-// (e.g. batch_erase's per-candidate kind codes) rather than in the element.
+// Keep the elements v[i] for which pred(i) holds, preserving order: a flag
+// pass, an exclusive scan, then a scatter. The predicate sees the element
+// *index*, so the keep/drop decision may live in a parallel side array
+// (e.g. batch_erase's per-candidate kind codes).
 template <class T, class Pred>
 std::vector<T> filter_index(const std::vector<T>& v, Pred&& pred) {
   size_t n = v.size();
@@ -121,6 +106,12 @@ std::vector<T> filter_index(const std::vector<T>& v, Pred&& pred) {
     if (next != keep[i]) out[keep[i]] = v[i];
   });
   return out;
+}
+
+// Keep the elements whose value satisfies pred, preserving order.
+template <class T, class Pred>
+std::vector<T> filter(const std::vector<T>& v, Pred&& pred) {
+  return filter_index(v, [&](size_t i) { return pred(v[i]); });
 }
 
 // Stable parallel merge of two sorted runs into `out`. Splits the larger
@@ -191,18 +182,6 @@ void sort(std::vector<T>& v, Cmp cmp) {
   }
   std::vector<T> scratch(v.size());
   Rec::go(v.data(), scratch.data(), v.size(), cmp, /*to_scratch=*/false);
-}
-
-// Canonical name used by the batch-update algorithms (mirrors the paper's
-// parallel sort primitive).
-template <class T, class Cmp>
-void par_sort(std::vector<T>& v, Cmp cmp) {
-  sort(v, cmp);
-}
-
-template <class T>
-void par_sort(std::vector<T>& v) {
-  sort(v, std::less<T>{});
 }
 
 template <class T>

@@ -50,7 +50,7 @@ class Ternarizer {
     inner_.link(su, sv, w);
     uint64_t key = edge_key(u, v);
     hosts_[key] = {su, sv};
-    weight_[key] = w;
+    weights_[key] = w;
     slot_edge_[su] = key;
     slot_edge_[sv] = key;
   }
@@ -62,7 +62,7 @@ class Ternarizer {
     Vertex su = owner_of(a) == u ? a : b;
     Vertex sv = owner_of(a) == u ? b : a;
     hosts_.erase(it);
-    weight_.erase(edge_key(u, v));
+    weights_.erase(edge_key(u, v));
     slot_edge_.erase(su);
     slot_edge_.erase(sv);
     inner_.cut(su, sv);
@@ -102,7 +102,7 @@ class Ternarizer {
   size_t memory_bytes() const {
     size_t bytes = inner_.memory_bytes() + sizeof(*this);
     for (const auto& ch : chain_) bytes += ch.capacity() * sizeof(Vertex);
-    bytes += (hosts_.size() + weight_.size() + slot_edge_.size() +
+    bytes += (hosts_.size() + weights_.size() + slot_edge_.size() +
               head_hosts_.size() + owner_.size()) *
              48;  // rough node overhead for the bookkeeping maps
     bytes += free_slots_.capacity() * sizeof(Vertex);
@@ -179,7 +179,7 @@ class Ternarizer {
     assert(se != slot_edge_.end());
     uint64_t key = se->second;
     auto& slots = hosts_.at(key);
-    Weight w = weight_.at(key);
+    Weight w = weights_.at(key);
     Vertex other = slots.first == from ? slots.second : slots.first;
     inner_.cut(from, other);
     inner_.link(to, other, w);
@@ -195,7 +195,7 @@ class Ternarizer {
   Inner inner_;
   std::vector<std::vector<Vertex>> chain_;
   std::unordered_map<uint64_t, std::pair<Vertex, Vertex>> hosts_;
-  std::unordered_map<uint64_t, Weight> weight_;
+  std::unordered_map<uint64_t, Weight> weights_;
   std::unordered_map<Vertex, uint64_t> slot_edge_;
   std::unordered_set<Vertex> head_hosts_;
   std::unordered_map<Vertex, Vertex> owner_;

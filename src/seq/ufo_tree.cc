@@ -8,25 +8,15 @@
 #include <algorithm>
 #include <cassert>
 #include <cstdio>
-#include <cstdlib>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
 namespace ufo::seq {
 
-namespace {
-bool trace_enabled() { return std::getenv("UFO_TRACE") != nullptr; }
-#define UFO_TRACE(...) \
-  do { \
-    if (trace_enabled()) std::fprintf(stderr, __VA_ARGS__); \
-  } while (0)
-}
-
 UfoTree::UfoTree(size_t n) : core::UfoCore(n) { roots_.resize(1); }
 
 void UfoTree::add_root(uint32_t c) {
-  UFO_TRACE("  add_root %u (lvl %d)\n", c, hot_[c].level);
   size_t lvl = static_cast<size_t>(hot_[c].level);
   if (roots_.size() <= lvl) roots_.resize(lvl + 1);
   roots_[lvl].push_back(c);
@@ -73,8 +63,6 @@ void UfoTree::delete_ancestors(uint32_t c) {
         // If next survives the walk its contents shrank; refresh later.
         mark_dirty(next);
       }
-      UFO_TRACE("  delete cluster %u (lvl %d) parent %u\n", cur,
-                hot_[cur].level, next);
       UFO_STAT("seq.teardown.deleted", 1);
       free_cluster(cur);
     } else if (!prev_deleted && hot_[prev].nbrs.size <= 2 &&
@@ -89,8 +77,6 @@ void UfoTree::delete_ancestors(uint32_t c) {
       add_root(prev);
       mark_dirty(cur);
       UFO_STAT("seq.teardown.shed", 1);
-      UFO_TRACE("  disconnect %u (lvl %d) from survivor %u\n", prev,
-                hot_[prev].level, cur);
     }
     prev = cur;
     prev_deleted = deletable;
@@ -115,7 +101,6 @@ void UfoTree::delete_ancestors_all(uint32_t c) {
       remove_child(next, cur);
       mark_dirty(next);
     }
-    UFO_TRACE("  delete-all cluster %u (lvl %d)\n", cur, hot_[cur].level);
     UFO_STAT("seq.teardown.deleted", 1);
     free_cluster(cur);
     cur = next;
@@ -123,7 +108,6 @@ void UfoTree::delete_ancestors_all(uint32_t c) {
 }
 
 void UfoTree::dissolve(uint32_t c) {
-  UFO_TRACE("  dissolve cluster %u (lvl %d)\n", c, hot_[c].level);
   for (const Adj& a : nbrs(c)) {
     adj_remove(a.nbr, c);
     mark_dirty(a.nbr);
@@ -153,7 +137,6 @@ void UfoTree::repair(uint32_t c) {
   }
   if (cn.size() >= 3 && b1 != kNoVertex) own_bad = true;
   if (own_bad) {
-    UFO_TRACE("  repair: cluster %u own boundary invalid\n", c);
     delete_ancestors_all(c);
     dissolve(c);
     return;
@@ -171,7 +154,6 @@ void UfoTree::repair(uint32_t c) {
     role_bad = !adj_contains(c, sib);  // pair's merge edge must persist
   }
   if (role_bad) {
-    UFO_TRACE("  repair: cluster %u role under %u invalid\n", c, p);
     delete_ancestors_all(c);  // roots c; parent and above rebuilt
   }
 }
@@ -349,8 +331,6 @@ void UfoTree::recluster() {
       add_child(p, x);
       add_root(p);
       changed.push_back(p);
-      UFO_TRACE("  phaseA new center parent %u over %u (deg %u)\n", p, x,
-                hot_[x].nbrs.size);
       for (const Adj& a : nbrs(x)) {
         uint32_t y = a.nbr;
         if (hot_[y].nbrs.size != 1) continue;
@@ -390,8 +370,6 @@ void UfoTree::recluster() {
             hot_[p].merge_w = a.w;
             add_root(p);
             changed.push_back(p);
-            UFO_TRACE("  d2 new pair %u = {%u,%u} merge (%u,%u)\n", p, x, y,
-                      a.my_end, a.other_end);
           }
           merged = true;
           break;
@@ -402,8 +380,6 @@ void UfoTree::recluster() {
         size_t dy = hot_[y].nbrs.size;
         if (hot_[y].parent != 0 && !merges(y)) {
           uint32_t py = hot_[y].parent;
-          UFO_TRACE("  d1 attach x=%u into py=%u (y=%u ydeg %zu)\n", x, py,
-                    y, dy);
           delete_ancestors(py);
           add_child(py, x);
           cold_[py].rake_index_valid = false;  // merge shape changed
@@ -431,8 +407,6 @@ void UfoTree::recluster() {
           delete_ancestors(py);  // may or may not detach py
           add_child(py, x);
           if (cold_[py].rake_index_valid) rake_index_add(py, x);
-          UFO_TRACE("  rake-attach %u onto %s py=%u\n", x,
-                    hot_[py].parent == 0 ? "rooted" : "attached", py);
           if (hot_[py].parent == 0) {
             agg_only.push_back(py);  // a rake's edge is internal: the
             add_root(py);            // parent's adjacency is unchanged
@@ -441,7 +415,6 @@ void UfoTree::recluster() {
           }
           merged = true;
         } else if (hot_[y].parent == 0) {
-          UFO_TRACE("  d1 new pair over {%u,%u} ydeg %zu\n", x, y, dy);
           assert(dy <= 2 && "phase A handles high-degree roots");
           uint32_t p = alloc_cluster(static_cast<int32_t>(lvl) + 1);
           add_child(p, x);
@@ -455,7 +428,6 @@ void UfoTree::recluster() {
         }
       }
       if (!merged) {
-        UFO_TRACE("  singleton parent for %u\n", x);
         uint32_t p = alloc_cluster(static_cast<int32_t>(lvl) + 1);
         add_child(p, x);
         add_root(p);
@@ -490,8 +462,6 @@ void UfoTree::recluster() {
     UFO_STAT("seq.recluster.changed", changed.size());
     for (uint32_t p : changed) {
       if (alive(p)) {
-        UFO_TRACE("  recompute changed %u (lvl %d, fanout %u)\n", p,
-                  hot_[p].level, hot_[p].children.size);
         recompute_aggregates(p);
         mark_dirty(p);
       }
@@ -543,7 +513,6 @@ void UfoTree::flush_dirty() {
   });
   for (uint32_t c : dirty_) {
     if (!alive(c)) continue;
-    UFO_TRACE("  flush dirty %u (lvl %d)\n", c, hot_[c].level);
     recompute_chain(c);
   }
   dirty_.clear();

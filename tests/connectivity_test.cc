@@ -11,6 +11,7 @@
 
 #include "connectivity/connectivity.h"
 #include "graph/generators.h"
+#include "parallel/par_ufo_tree.h"
 #include "seq/ufo_tree.h"
 #include "util/random.h"
 #include "util/union_find.h"
@@ -137,6 +138,60 @@ TEST(GraphConnectivity, WeightsSurvivePromotion) {
   EXPECT_TRUE(g.connected(0, 1));
   // Path 0-2-1 carries the promoted weight.
   EXPECT_EQ(g.forest().path_sum(0, 1), 11 + 7);
+}
+
+// batch_insert's staging against a key-ordered Kruskal pass: canonicalize,
+// sort by edge key, keep the first occurrence, skip edges already stored,
+// and accept an edge as a tree edge iff it joins two sets of a union-find
+// seeded with the standing forest. Two batches, so the second one stages
+// against a non-trivial forest; both backends.
+template <class Backend>
+void expect_staging_matches_kruskal() {
+  constexpr size_t n = 200;
+  GraphConnectivity<Backend> g(n);
+  util::SplitMix64 rng(31);
+  std::set<uint64_t> stored;
+  for (int round = 0; round < 2; ++round) {
+    SCOPED_TRACE(round);
+    EdgeList batch;
+    for (int i = 0; i < 260; ++i) {
+      Vertex u = static_cast<Vertex>(rng.next(n));
+      Vertex v = static_cast<Vertex>(rng.next(n));
+      batch.push_back({u, v, 1});
+      if (i % 9 == 0) batch.push_back({v, u, 1});  // reversed duplicate
+    }
+    util::UnionFind uf(n);
+    for (uint64_t key : stored) {
+      Vertex u = static_cast<Vertex>(key >> 32), v = static_cast<Vertex>(key);
+      if (g.forest().has_edge(u, v)) uf.unite(u, v);
+    }
+    std::set<uint64_t> keys;
+    for (const Edge& e : batch)
+      if (e.u != e.v && !g.has_edge(e.u, e.v)) keys.insert(edge_key(e.u, e.v));
+    std::set<uint64_t> expect_tree;
+    for (uint64_t key : keys)  // ascending key order
+      if (uf.unite(static_cast<Vertex>(key >> 32), static_cast<Vertex>(key)))
+        expect_tree.insert(key);
+
+    ASSERT_EQ(g.batch_insert(batch), BatchStatus::kOk);
+    stored.insert(keys.begin(), keys.end());
+    size_t tree_edges = 0;
+    for (uint64_t key : stored) {
+      Vertex u = static_cast<Vertex>(key >> 32), v = static_cast<Vertex>(key);
+      bool is_tree = g.forest().has_edge(u, v);
+      tree_edges += is_tree;
+      if (keys.count(key))
+        EXPECT_EQ(is_tree, expect_tree.count(key) > 0) << u << " " << v;
+    }
+    EXPECT_EQ(tree_edges, g.num_tree_edges());
+    EXPECT_EQ(g.num_edges(), stored.size());
+    ASSERT_TRUE(g.check_valid());
+  }
+}
+
+TEST(GraphConnectivity, BatchInsertStagingMatchesKruskal) {
+  expect_staging_matches_kruskal<seq::UfoTree>();
+  expect_staging_matches_kruskal<par::UfoTree>();
 }
 
 // Mixed single-edge insert/erase/query churn against the oracle. Three
@@ -302,9 +357,11 @@ TEST(UnionFindTest, BasicStagingBehavior) {
 
 TEST(EdgeStoreTest, InsertEraseContains) {
   EdgeStore s(8);
-  EXPECT_TRUE(s.insert(1, 2));
-  EXPECT_FALSE(s.insert(2, 1));  // same undirected edge
+  EXPECT_TRUE(s.insert(1, 2, 5));
+  EXPECT_EQ(s.weight(2, 1), 5);
+  EXPECT_FALSE(s.insert(2, 1, 9));  // same undirected edge: assigns
   EXPECT_TRUE(s.contains(2, 1));
+  EXPECT_EQ(s.weight(1, 2), 9);
   EXPECT_EQ(s.edges(), 1u);
   EXPECT_EQ(s.degree(1), 1u);
   EXPECT_TRUE(s.erase(1, 2));
@@ -316,20 +373,34 @@ TEST(EdgeStoreTest, BatchReserveAndConcurrentInsert) {
   constexpr size_t n = 32;
   EdgeStore s(n);
   EdgeList batch = gen::star(n);  // all edges share vertex 0
-  s.reserve_batch(batch);
+  for (Edge& e : batch) e.w = static_cast<Weight>(e.u + e.v);
+  ASSERT_TRUE(s.try_reserve_batch(batch));
   par::parallel_for(0, batch.size(), [&](size_t i) {
-    s.insert_concurrent(batch[i].u, batch[i].v);
+    s.insert_concurrent(batch[i].u, batch[i].v, batch[i].w);
   });
   EXPECT_EQ(s.edges(), n - 1);
   EXPECT_EQ(s.degree(0), n - 1);
-  for (Vertex v = 1; v < n; ++v) EXPECT_TRUE(s.contains(0, v));
+  for (Vertex v = 1; v < n; ++v) {
+    EXPECT_TRUE(s.contains(0, v));
+    EXPECT_EQ(s.weight(v, 0), static_cast<Weight>(v));
+  }
+}
+
+// An empty vertex costs one 16-slot map: keys and values plus the table
+// header, nothing more.
+TEST(EdgeStoreTest, EmptyVerticesStartAtSixteenSlots) {
+  constexpr size_t n = 1024;
+  EdgeStore s(n);
+  size_t per_vertex =
+      sizeof(par::ConcurrentMap) + 16 * (sizeof(uint64_t) + sizeof(Weight));
+  EXPECT_LE(s.memory_bytes(), sizeof(EdgeStore) + n * per_vertex);
 }
 
 TEST(ComponentLabels, CanonicalSmallestId) {
   EdgeStore s(6);
-  s.insert(4, 5);
-  s.insert(1, 2);
-  s.insert(2, 3);
+  s.insert(4, 5, 1);
+  s.insert(1, 2, 1);
+  s.insert(2, 3, 1);
   auto label = component_labels(s);
   EXPECT_EQ(label[0], 0u);
   EXPECT_EQ(label[1], 1u);

@@ -226,9 +226,10 @@ TEST_F(FaultTest, HashReserveFailureDegradesBatchErasePromotion) {
   util::shuffle(edges, 4);
   EdgeList drop(edges.begin(), edges.begin() + edges.size() / 2);
 
-  // Arm a later hit so the preamble reservations (weights) survive and the
-  // fault lands inside the promotion path; sweep a few offsets so at least
-  // one run fires mid-search regardless of round structure.
+  // batch_erase reserves nothing before its first promotion, so every
+  // hash.reserve hit lands in the promotion path's per-vertex tree-store
+  // reservations; sweep a few offsets so the fault fires at different
+  // points of the search regardless of round structure.
   bool saw_degraded = false;
   for (uint64_t nth : {0ull, 1ull, 2ull}) {
     conn::GraphConnectivity<seq::UfoTree> h(n);

@@ -8,7 +8,6 @@
 #include <map>
 #include <numeric>
 #include <set>
-#include <type_traits>
 #include <unordered_map>
 #include <vector>
 
@@ -115,24 +114,18 @@ INSTANTIATE_TEST_SUITE_P(Sizes, SizeSweep,
                            return "n" + std::to_string(info.param);
                          });
 
-// Random-ops differential harness shared by both instantiations of the
-// probing core: ConcurrentSet against a key set, ConcurrentMap against
-// std::unordered_map (the set's reference values stay 0). Phase-concurrent
-// contract: capacity is managed by the caller via reserve() at phase
-// boundaries (the batch-update algorithms do exactly this), so size the
-// table for the key space and re-reserve periodically to flush tombstones.
-template <class Table>
+// Random-ops differential harness: ConcurrentMap against
+// std::unordered_map. Phase-concurrent contract: capacity is managed by the
+// caller via reserve() at phase boundaries (the batch-update algorithms do
+// exactly this), so size the table for the key space and re-reserve
+// periodically to flush tombstones.
 void random_ops_match_reference(uint64_t seed) {
-  constexpr bool kMap = std::is_same_v<Table, ConcurrentMap>;
-  Table table(2048);
+  ConcurrentMap table(2048);
   std::unordered_map<uint64_t, int64_t> ref;
-  auto audit = [&](const Table& t, const char* what, int step) {
+  auto audit = [&](const ConcurrentMap& t, const char* what, int step) {
     ASSERT_EQ(t.size(), ref.size()) << what << " " << step;
     std::unordered_map<uint64_t, int64_t> seen;
-    if constexpr (kMap)
-      t.for_each([&](uint64_t k, int64_t v) { seen.emplace(k, v); });
-    else
-      t.for_each([&](uint64_t k) { seen.emplace(k, 0); });
+    t.for_each([&](uint64_t k, int64_t v) { seen.emplace(k, v); });
     ASSERT_EQ(seen, ref) << what << " " << step;
     for (uint64_t k = 1; k <= 500; ++k)
       ASSERT_EQ(t.contains(k), ref.count(k) > 0) << what << " " << step;
@@ -143,34 +136,28 @@ void random_ops_match_reference(uint64_t seed) {
     int64_t value = static_cast<int64_t>(rng.next(1000)) - 500;
     bool absent = ref.count(key) == 0;
     switch (rng.next(3)) {
-      case 0:
-        if constexpr (kMap) {
-          // Overwrites through both insert paths; the sequential one grows
-          // on demand, the concurrent one relies on the reserve below.
-          bool fresh = (step & 1) ? table.insert_or_assign(key, value)
-                                  : table.insert_concurrent(key, value);
-          ASSERT_EQ(fresh, absent) << "step " << step;
-          ref[key] = value;
-        } else {
-          ASSERT_EQ(table.insert(key), absent) << "step " << step;
-          ref.emplace(key, 0);
-        }
+      case 0: {
+        // Overwrites through both insert paths; the sequential one grows
+        // on demand, the concurrent one relies on the reserve below.
+        bool fresh = (step & 1) ? table.insert_or_assign(key, value)
+                                : table.insert_concurrent(key, value);
+        ASSERT_EQ(fresh, absent) << "step " << step;
+        ref[key] = value;
         break;
+      }
       case 1:
         ASSERT_EQ(table.erase(key), !absent) << "step " << step;
         ref.erase(key);
         break;
       default:
         ASSERT_EQ(table.contains(key), !absent) << "step " << step;
-        if constexpr (kMap) {
-          ASSERT_EQ(table.get(key, -1000), absent ? -1000 : ref[key])
-              << "step " << step;
-        }
+        ASSERT_EQ(table.get(key, -1000), absent ? -1000 : ref[key])
+            << "step " << step;
     }
     if (step % 4096 == 0) {
       table.reserve(2048);  // phase boundary: rehash away tombstones
       ASSERT_NO_FATAL_FAILURE(audit(table, "audit", step));
-      Table copy(table);
+      ConcurrentMap copy(table);
       ASSERT_NO_FATAL_FAILURE(audit(copy, "copy", step));
     }
   }
@@ -185,31 +172,20 @@ void random_ops_match_reference(uint64_t seed) {
   size_t mask = table.capacity() - 1;
   uint64_t a = 1, b = 2;
   while ((util::hash64(b) & mask) != (util::hash64(a) & mask)) ++b;
-  for (uint64_t k : {a, b}) {
-    if constexpr (kMap)
-      table.insert_concurrent(k, 1);
-    else
-      table.insert(k);
-  }
+  for (uint64_t k : {a, b}) table.insert_concurrent(k, 1);
   ASSERT_TRUE(table.erase(a));
-  if constexpr (kMap) {
-    ASSERT_FALSE(table.insert_concurrent(b, 7));
-    EXPECT_EQ(table.get(b, 0), 7);
-  } else {
-    ASSERT_FALSE(table.insert(b));
-  }
+  ASSERT_FALSE(table.insert_concurrent(b, 7));
+  EXPECT_EQ(table.get(b, 0), 7);
   EXPECT_EQ(table.size(), 1u);
   EXPECT_TRUE(table.erase(b));
   EXPECT_FALSE(table.contains(b));
   EXPECT_EQ(table.size(), 0u);
 }
 
-TEST(ConcurrentSetProperty, RandomOpsMatchStdSet) {
-  random_ops_match_reference<ConcurrentSet>(77);
-}
-
+// Two seeds: two independent op streams.
 TEST(ConcurrentMapProperty, RandomOpsMatchStdMap) {
-  random_ops_match_reference<ConcurrentMap>(78);
+  ASSERT_NO_FATAL_FAILURE(random_ops_match_reference(77));
+  ASSERT_NO_FATAL_FAILURE(random_ops_match_reference(78));
 }
 
 TEST(SchedulerProperty, ParallelForWritesEveryIndexOnce) {

@@ -1,5 +1,5 @@
 // Phase-concurrency stress: hammer the phase-concurrent structures
-// (ConcurrentSet, EdgeStore) through insert-barrier-erase phase cycles and
+// (ConcurrentMap, EdgeStore) through insert-barrier-erase phase cycles and
 // deeply nested fork-join, asserting contents against mutex-guarded
 // oracles. Registered in CMake with UFOTREE_NUM_THREADS=4 so the scheduler
 // actually runs multiple workers (they timeshare on small hosts; the
@@ -30,8 +30,9 @@ TEST(StressSetup, RunsMultiThreaded) {
 // Insert phase -> barrier -> contains/erase phase -> barrier, repeated, with
 // reserve() growing the table between phases while keys are live (the
 // reserve-undersizing regression scenario, now under contention).
-TEST(StressConcurrentSet, PhaseCyclesAgainstMutexOracle) {
-  ConcurrentSet set(64);
+TEST(StressConcurrentMap, PhaseCyclesAgainstMutexOracle) {
+  ConcurrentMap map(64);
+  auto value_of = [](uint64_t key) { return static_cast<int64_t>(key * 7); };
   std::set<uint64_t> oracle;
   std::mutex mu;
   uint64_t next_key = 1;
@@ -39,17 +40,18 @@ TEST(StressConcurrentSet, PhaseCyclesAgainstMutexOracle) {
     size_t adds = 500 + 137 * static_cast<size_t>(round);
     // Phase boundary: deliberately reserve *less* than the live count so a
     // sizing bug that ignores live keys would wedge the rehash.
-    set.reserve(adds / 2);
-    set.reserve(adds);
+    map.reserve(adds / 2);
+    map.reserve(adds);
     uint64_t base = next_key;
     next_key += adds;
     // Concurrent insert phase (grain 1 spreads tasks across workers). Each
-    // key is also offered twice to exercise the duplicate path.
+    // key is also offered twice, with equal values, to exercise the
+    // duplicate path: exactly one offer may report it fresh.
     parallel_for(
         0, 2 * adds,
         [&](size_t i) {
           uint64_t key = base + (i % adds);
-          bool fresh = set.insert(key);
+          bool fresh = map.insert_concurrent(key, value_of(key));
           if (fresh) {
             std::lock_guard<std::mutex> lock(mu);
             oracle.insert(key);
@@ -58,7 +60,7 @@ TEST(StressConcurrentSet, PhaseCyclesAgainstMutexOracle) {
         /*grain=*/1);
     // Barrier reached (parallel_for joined). Read phase.
     parallel_for(0, adds, [&](size_t i) {
-      ASSERT_TRUE(set.contains(base + i));
+      ASSERT_EQ(map.get(base + i, -1), value_of(base + i));
     });
     // Concurrent erase phase: drop a pseudo-random half.
     parallel_for(
@@ -66,7 +68,7 @@ TEST(StressConcurrentSet, PhaseCyclesAgainstMutexOracle) {
         [&](size_t i) {
           uint64_t key = base + i;
           if (util::hash64(key) & 1) {
-            bool had = set.erase(key);
+            bool had = map.erase(key);
             if (had) {
               std::lock_guard<std::mutex> lock(mu);
               oracle.erase(key);
@@ -75,11 +77,15 @@ TEST(StressConcurrentSet, PhaseCyclesAgainstMutexOracle) {
         },
         /*grain=*/1);
     // Phase boundary: full content comparison against the oracle.
-    std::vector<uint64_t> got = set.elements();
+    std::vector<uint64_t> got;
+    map.for_each([&](uint64_t key, int64_t value) {
+      got.push_back(key);
+      ASSERT_EQ(value, value_of(key));
+    });
     std::sort(got.begin(), got.end());
     std::vector<uint64_t> want(oracle.begin(), oracle.end());
     ASSERT_EQ(got, want) << "round " << round;
-    ASSERT_EQ(set.size(), oracle.size());
+    ASSERT_EQ(map.size(), oracle.size());
   }
 }
 
@@ -100,13 +106,14 @@ TEST(StressEdgeStore, PhaseCyclesAgainstMutexOracle) {
       Vertex v = static_cast<Vertex>(rng.next(n));
       if (u == v) continue;
       if (!seen.insert(edge_key(u, v)).second) continue;
-      batch.push_back({u, v, 1});
+      batch.push_back({u, v, static_cast<Weight>(edge_key(u, v) % 1000)});
     }
-    store.reserve_batch(batch);  // phase boundary
+    ASSERT_TRUE(store.try_reserve_batch(batch));  // phase boundary
     parallel_for(
         0, batch.size(),
         [&](size_t i) {
-          bool fresh = store.insert_concurrent(batch[i].u, batch[i].v);
+          bool fresh =
+              store.insert_concurrent(batch[i].u, batch[i].v, batch[i].w);
           if (fresh) {
             std::lock_guard<std::mutex> lock(mu);
             oracle.insert(edge_key(batch[i].u, batch[i].v));
@@ -130,10 +137,12 @@ TEST(StressEdgeStore, PhaseCyclesAgainstMutexOracle) {
     ASSERT_EQ(store.edges(), oracle.size()) << "round " << round;
     std::set<uint64_t> got;
     for (Vertex v = 0; v < n; ++v) {
-      store.for_each_neighbor(v, [&](Vertex y) {
+      store.for_each_weighted(v, [&](Vertex y, Weight w) {
         got.insert(edge_key(v, y));
         ASSERT_TRUE(store.contains(v, y));
         ASSERT_TRUE(store.contains(y, v));
+        ASSERT_EQ(w, static_cast<Weight>(edge_key(v, y) % 1000));
+        ASSERT_EQ(store.weight(y, v), w);
       });
     }
     ASSERT_EQ(got, oracle) << "round " << round;
@@ -168,16 +177,17 @@ TEST(StressScheduler, DeepNesting) {
     ASSERT_EQ(hits[i].load(), 1u) << i;
 }
 
-// Mixed workload: concurrent set phases running inside nested par_do arms,
+// Mixed workload: concurrent map phases running inside nested par_do arms,
 // the shape par::UfoTree's contraction uses (parallel_for bodies that
 // themselves call parallel primitives).
 TEST(StressScheduler, PrimitivesInsideNestedTasks) {
-  ConcurrentSet set(4096);
+  ConcurrentMap map(4096);
   std::atomic<uint64_t> checksum{0};
   par_do(
       [&] {
         parallel_for(
-            0, 1000, [&](size_t i) { set.insert(i); }, /*grain=*/1);
+            0, 1000, [&](size_t i) { map.insert_concurrent(i, 1); },
+            /*grain=*/1);
       },
       [&] {
         std::vector<uint64_t> v(5000);
@@ -185,7 +195,7 @@ TEST(StressScheduler, PrimitivesInsideNestedTasks) {
         checksum.fetch_add(reduce(v, uint64_t{0},
                                   [](uint64_t a, uint64_t b) { return a + b; }));
       });
-  EXPECT_EQ(set.size(), 1000u);
+  EXPECT_EQ(map.size(), 1000u);
   EXPECT_EQ(checksum.load(), 5000ull * 4999 / 2);
 }
 

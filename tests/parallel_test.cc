@@ -175,25 +175,34 @@ TEST(Primitives, GroupByKey) {
 }
 
 TEST(HashTable, InsertContainsErase) {
-  ConcurrentSet set(100);
-  EXPECT_TRUE(set.insert(42));
-  EXPECT_FALSE(set.insert(42));
-  EXPECT_TRUE(set.contains(42));
-  EXPECT_FALSE(set.contains(43));
-  EXPECT_TRUE(set.erase(42));
-  EXPECT_FALSE(set.erase(42));
-  EXPECT_FALSE(set.contains(42));
-  EXPECT_EQ(set.size(), 0u);
+  ConcurrentMap map(100);
+  EXPECT_TRUE(map.insert_concurrent(42, 1));
+  EXPECT_FALSE(map.insert_concurrent(42, 2));
+  EXPECT_TRUE(map.contains(42));
+  EXPECT_EQ(map.get(42, 0), 2);
+  EXPECT_FALSE(map.contains(43));
+  EXPECT_TRUE(map.erase(42));
+  EXPECT_FALSE(map.erase(42));
+  EXPECT_FALSE(map.contains(42));
+  EXPECT_EQ(map.size(), 0u);
 }
 
 TEST(HashTable, ConcurrentInserts) {
   constexpr size_t n = 20000;
-  ConcurrentSet set(n);
-  parallel_for(0, n, [&](size_t i) { set.insert(i); });
-  EXPECT_EQ(set.size(), n);
-  parallel_for(0, n, [&](size_t i) { EXPECT_TRUE(set.contains(i)); });
-  auto elems = set.elements();
-  EXPECT_EQ(elems.size(), n);
+  ConcurrentMap map(n);
+  parallel_for(0, n, [&](size_t i) {
+    map.insert_concurrent(i, static_cast<int64_t>(i) * 3);
+  });
+  EXPECT_EQ(map.size(), n);
+  parallel_for(0, n, [&](size_t i) {
+    EXPECT_EQ(map.get(i, -1), static_cast<int64_t>(i) * 3);
+  });
+  size_t visited = 0;
+  map.for_each([&](uint64_t k, int64_t v) {
+    EXPECT_EQ(v, static_cast<int64_t>(k) * 3);
+    ++visited;
+  });
+  EXPECT_EQ(visited, n);
 }
 
 // Regression: reserve(n) used to size the new table from n alone, ignoring
@@ -202,17 +211,17 @@ TEST(HashTable, ConcurrentInserts) {
 // next insert would spin forever on a full probe chain. Before the fix this
 // test hangs in reserve(); after it, the table counts live keys and grows.
 TEST(HashTable, ReserveSmallOnLargeLiveSet) {
-  ConcurrentSet set;
-  set.reserve(100);
-  for (uint64_t i = 0; i < 100; ++i) set.insert(i);
-  ASSERT_EQ(set.size(), 100u);
+  ConcurrentMap map;
+  map.reserve(100);
+  for (uint64_t i = 0; i < 100; ++i) map.insert_concurrent(i, 1);
+  ASSERT_EQ(map.size(), 100u);
   // Headroom request far below the live count. The undersized computation
   // (2 * (30 + 1) -> 64 slots < 100 live keys) tripped exactly here.
-  set.reserve(30);
-  EXPECT_GE(set.capacity(), 2 * (100 + 30));
-  for (uint64_t i = 100; i < 130; ++i) EXPECT_TRUE(set.insert(i));
-  EXPECT_EQ(set.size(), 130u);
-  for (uint64_t i = 0; i < 130; ++i) EXPECT_TRUE(set.contains(i));
+  map.reserve(30);
+  EXPECT_GE(map.capacity(), 2 * (100 + 30));
+  for (uint64_t i = 100; i < 130; ++i) EXPECT_TRUE(map.insert_concurrent(i, 1));
+  EXPECT_EQ(map.size(), 130u);
+  for (uint64_t i = 0; i < 130; ++i) EXPECT_TRUE(map.contains(i));
 }
 
 // Regression: the capacity doubling loop `while (want < 2 * (n + 1))` could
@@ -220,16 +229,16 @@ TEST(HashTable, ReserveSmallOnLargeLiveSet) {
 // capacity_for saturates at kMaxCapacity instead (and never multiplies, so
 // the comparison itself cannot overflow).
 TEST(HashTable, CapacityForClampsAdversarialRequests) {
-  EXPECT_EQ(ConcurrentSet::capacity_for(0, 0), 16u);
-  EXPECT_EQ(ConcurrentSet::capacity_for(0, 7), 16u);
-  EXPECT_EQ(ConcurrentSet::capacity_for(0, 8), 32u);
-  EXPECT_EQ(ConcurrentSet::capacity_for(100, 30), 512u);
-  EXPECT_EQ(ConcurrentSet::capacity_for(0, SIZE_MAX),
-            ConcurrentSet::kMaxCapacity);
-  EXPECT_EQ(ConcurrentSet::capacity_for(SIZE_MAX, SIZE_MAX),
-            ConcurrentSet::kMaxCapacity);
-  EXPECT_EQ(ConcurrentSet::capacity_for(SIZE_MAX / 2, 1),
-            ConcurrentSet::kMaxCapacity);
+  EXPECT_EQ(ConcurrentMap::capacity_for(0, 0), 16u);
+  EXPECT_EQ(ConcurrentMap::capacity_for(0, 7), 16u);
+  EXPECT_EQ(ConcurrentMap::capacity_for(0, 8), 32u);
+  EXPECT_EQ(ConcurrentMap::capacity_for(100, 30), 512u);
+  EXPECT_EQ(ConcurrentMap::capacity_for(0, SIZE_MAX),
+            ConcurrentMap::kMaxCapacity);
+  EXPECT_EQ(ConcurrentMap::capacity_for(SIZE_MAX, SIZE_MAX),
+            ConcurrentMap::kMaxCapacity);
+  EXPECT_EQ(ConcurrentMap::capacity_for(SIZE_MAX / 2, 1),
+            ConcurrentMap::kMaxCapacity);
 }
 
 // Regression: reserve()'s early return used to consider live keys only.
@@ -240,28 +249,30 @@ TEST(HashTable, CapacityForClampsAdversarialRequests) {
 // toward occupancy and rehashes (dropping them) when the sum passes half
 // the table; before the fix this test hangs inside contains().
 TEST(HashTable, TombstoneChurnKeepsEmptySlots) {
-  ConcurrentSet set;
-  set.reserve(8);
+  ConcurrentMap map;
+  map.reserve(8);
   for (uint64_t i = 0; i < 10000; ++i) {
-    set.reserve(1);  // phase boundary, EdgeStore::insert-style
-    set.insert(i);
-    EXPECT_FALSE(set.contains(i + 1));  // absent probe must terminate
-    EXPECT_TRUE(set.erase(i));
+    map.insert_or_assign(i, 1);  // reserve(1) first, EdgeStore::insert-style
+    EXPECT_FALSE(map.contains(i + 1));  // absent probe must terminate
+    EXPECT_TRUE(map.erase(i));
   }
-  EXPECT_EQ(set.size(), 0u);
+  EXPECT_EQ(map.size(), 0u);
   // Live size never exceeded 1, so periodic rehashes keep the table tiny
   // instead of letting tombstones force growth.
-  EXPECT_LE(set.capacity(), 64u);
+  EXPECT_LE(map.capacity(), 64u);
 }
 
 TEST(HashTable, ReserveRehashesAndDropsTombstones) {
-  ConcurrentSet set(8);
-  for (uint64_t i = 0; i < 8; ++i) set.insert(i);
-  for (uint64_t i = 0; i < 4; ++i) set.erase(i);
-  set.reserve(1000);
-  EXPECT_EQ(set.size(), 4u);
-  for (uint64_t i = 4; i < 8; ++i) EXPECT_TRUE(set.contains(i));
-  for (uint64_t i = 0; i < 4; ++i) EXPECT_FALSE(set.contains(i));
+  ConcurrentMap map(8);
+  for (uint64_t i = 0; i < 8; ++i)
+    map.insert_concurrent(i, static_cast<int64_t>(i) + 10);
+  for (uint64_t i = 0; i < 4; ++i) map.erase(i);
+  map.reserve(1000);
+  EXPECT_EQ(map.size(), 4u);
+  EXPECT_EQ(map.tombstones(), 0u);
+  for (uint64_t i = 4; i < 8; ++i)
+    EXPECT_EQ(map.get(i, -1), static_cast<int64_t>(i) + 10);
+  for (uint64_t i = 0; i < 4; ++i) EXPECT_FALSE(map.contains(i));
 }
 
 }  // namespace

@@ -21,6 +21,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -597,6 +598,22 @@ TEST(ConnectivityCheckpoint, RoundTrip) {
   ASSERT_TRUE(fresh.check_valid());
   EXPECT_EQ(fresh.num_components(), g.num_components());
   EXPECT_EQ(fresh.num_edges(), g.num_edges());
+
+  // Restored weights feed promotions: every tree edge of either instance,
+  // promoted after the load or not, carries its inserted weight (the first
+  // occurrence's, as batch_insert keeps it) as its one-edge path sum.
+  std::map<uint64_t, Weight> first_w;
+  for (const Edge& e : edges) first_w.emplace(edge_key(e.u, e.v), e.w);
+  for (const auto* c : {&g, &fresh}) {
+    size_t checked = 0;
+    for (const auto& [key, w] : first_w) {
+      Vertex u = static_cast<Vertex>(key >> 32), v = static_cast<Vertex>(key);
+      if (!c->forest().has_edge(u, v)) continue;
+      EXPECT_EQ(c->forest().path_sum(u, v), w) << u << " " << v;
+      ++checked;
+    }
+    EXPECT_EQ(checked, c->num_tree_edges());
+  }
   std::remove(path.c_str());
 }
 
