@@ -170,16 +170,9 @@ class ReplacementSearch {
     size_t undone = k;
     while (undone > 0) {
       UFO_STAT("conn.search.rounds", 1);
-      refresh_leads(S);
-
       // Groups serving at least one undone pair participate this round;
       // dormant groups keep their state for potential later merges.
-      served_.assign(S, 0);
-      for (size_t i = 0; i < k; ++i) {
-        if (done_[i]) continue;
-        served_[lead_[2 * i]] = 1;
-        served_[lead_[2 * i + 1]] = 1;
-      }
+      mark_served(S, k);
       expand_roots_.clear();
       for (uint32_t s = 0; s < S; ++s)
         if (qh_[s] != kNone && served_[s] && !complete_[s])
@@ -237,13 +230,7 @@ class ReplacementSearch {
       }
 
       // --- Phase C: parallel crossing-edge scan of complete groups -------
-      refresh_leads(S);
-      served_.assign(S, 0);
-      for (size_t i = 0; i < k; ++i) {
-        if (done_[i]) continue;
-        served_[lead_[2 * i]] = 1;
-        served_[lead_[2 * i + 1]] = 1;
-      }
+      mark_served(S, k);
       item_group_.clear();
       item_vertex_.clear();
       scan_roots_.clear();
@@ -454,6 +441,18 @@ class ReplacementSearch {
 
   void refresh_leads(uint32_t S) {
     for (uint32_t s = 0; s < S; ++s) lead_[s] = uf_.find(s);
+  }
+
+  // Refresh the leads, then flag served_[r] for every group root r that
+  // serves at least one of the k pairs not yet done.
+  void mark_served(uint32_t S, size_t k) {
+    refresh_leads(S);
+    served_.assign(S, 0);
+    for (size_t i = 0; i < k; ++i) {
+      if (done_[i]) continue;
+      served_[lead_[2 * i]] = 1;
+      served_[lead_[2 * i + 1]] = 1;
+    }
   }
 
   // A group certifies its (whole) component crossing-free when its claims

@@ -26,6 +26,8 @@
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
+#include <utility>
 #include <vector>
 
 namespace ufo::core {
@@ -93,7 +95,9 @@ class SortedBag {
   // were filled (min(live_, 2)).
   int top2(int64_t out[2]) {
     trim_back();
-    int64_t cand[4];
+    // Unused slots hold the minimum, so they sort last.
+    constexpr int64_t kEmpty = std::numeric_limits<int64_t>::min();
+    int64_t cand[4] = {kEmpty, kEmpty, kEmpty, kEmpty};
     int nc = 0;
     size_t pn = pend_.size();
     if (pn >= 1) cand[nc++] = pend_[pn - 1];
@@ -116,7 +120,15 @@ class SortedBag {
       flush();
       return top2(out);  // at most one recursion: everything is live now
     }
-    std::sort(cand, cand + nc, std::greater<int64_t>());
+    // Order the four slots descending with a fixed compare-swap network.
+    auto order = [&](int a, int b) {
+      if (cand[a] < cand[b]) std::swap(cand[a], cand[b]);
+    };
+    order(0, 1);
+    order(2, 3);
+    order(0, 2);
+    order(1, 3);
+    order(1, 2);
     int take = static_cast<int>(std::min<size_t>(live_, 2));
     for (int k = 0; k < take; ++k) out[k] = cand[k];
     return take;

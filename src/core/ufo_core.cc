@@ -366,6 +366,11 @@ void UfoCore::remove_child(uint32_t p, uint32_t c) {
   --ph.children.size;
 }
 
+void UfoCore::drop_child(uint32_t p, uint32_t c) {
+  if (indexed_rake(p, c)) rake_index_remove(p, c);
+  remove_child(p, c);
+}
+
 size_t UfoCore::degree(Vertex v) const { return hot_[leaf_id(v)].nbrs.size; }
 
 bool UfoCore::has_edge(Vertex u, Vertex v) const {
@@ -387,14 +392,10 @@ void UfoCore::recompute_chain(uint32_t c) {
   while (cur != 0) {
     recompute_aggregates(cur);
     uint32_t par = hot_[cur].parent;
-    if (par != 0) {
-      const Hot& ph = hot_[par];
-      if (ph.center_child != 0 && ph.center_child != cur &&
-          cold_[par].rake_index_valid) {
-        // cur is a rake whose values changed: refresh its index entry.
-        rake_index_remove(par, cur);
-        rake_index_add(par, cur);
-      }
+    if (par != 0 && indexed_rake(par, cur)) {
+      // cur is a rake whose values changed: refresh its index entry.
+      rake_index_remove(par, cur);
+      rake_index_add(par, cur);
     }
     cur = par;
   }

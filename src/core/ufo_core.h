@@ -273,6 +273,13 @@ class UfoCore {
   // over a star teardown).
   void add_child(uint32_t p, uint32_t c);
   void remove_child(uint32_t p, uint32_t c);
+  // True when c is a rake of p and p's rake index holds c's entry.
+  bool indexed_rake(uint32_t p, uint32_t c) const {
+    return hot_[p].center_child != 0 && hot_[p].center_child != c &&
+           cold_[p].rake_index_valid;
+  }
+  // remove_child that also drops c's rake-index entry when it has one.
+  void drop_child(uint32_t p, uint32_t c);
 
   void refresh_leaf(uint32_t leaf);
   void recompute_aggregates(uint32_t p);

@@ -30,6 +30,15 @@ struct Update {
   bool is_delete = false;
 };
 
+// The batch that links (is_delete = false) or cuts every edge of `edges`.
+inline std::vector<Update> as_updates(const std::vector<Edge>& edges,
+                                      bool is_delete) {
+  std::vector<Update> batch;
+  batch.reserve(edges.size());
+  for (const Edge& e : edges) batch.push_back({e.u, e.v, e.w, is_delete});
+  return batch;
+}
+
 // Canonical 64-bit key for an undirected edge (order-insensitive).
 inline uint64_t edge_key(Vertex u, Vertex v) {
   if (u > v) {

@@ -288,7 +288,8 @@ class ClaimTable {
  public:
   // owner_of() result when nobody claimed the id this phase. Owners must be
   // < kUnclaimed (the replacement-search engine uses search ids, the
-  // teardown walk uses cluster ids — both dense and well below 2^32 - 1).
+  // teardown walk uses request indexes — both dense and well below
+  // 2^32 - 1).
   static constexpr uint32_t kUnclaimed = 0xffffffffu;
 
   // Single-threaded phase boundary: make ids [0, n) claimable and retire
@@ -308,23 +309,11 @@ class ClaimTable {
     }
   }
 
-  // Phase-concurrent: claim `id` for `owner`. Returns true iff this call
-  // won (exactly one claim per id per phase succeeds).
+  // Phase-concurrent: claim `id` for `owner`. Returns true iff `owner` holds
+  // the claim after the call, so racing callers must pass distinct owners
+  // for exactly one of them to win.
   bool claim(size_t id, uint32_t owner) {
-    uint64_t want = (epoch_ << 32) | owner;
-    uint64_t cur = slots_[id].load(std::memory_order_relaxed);
-    for (;;) {
-      if ((cur >> 32) == epoch_) {
-        UFO_STAT("claim.lost", 1);
-        return false;  // already claimed this phase
-      }
-      if (slots_[id].compare_exchange_weak(cur, want,
-                                           std::memory_order_acq_rel)) {
-        UFO_STAT("claim.won", 1);
-        return true;
-      }
-      UFO_STAT("claim.cas_retries", 1);
-    }
+    return claim_or_owner(id, owner) == owner;
   }
 
   // Phase-concurrent: claim `id` for `owner` and report who holds the claim

@@ -34,19 +34,11 @@ void UfoTree::cut(Vertex u, Vertex v) {
 }
 
 void UfoTree::batch_link(const std::vector<Edge>& edges) {
-  std::vector<Update> batch(edges.size());
-  parallel_for(0, edges.size(), [&](size_t i) {
-    batch[i] = {edges[i].u, edges[i].v, edges[i].w, false};
-  });
-  batch_update(batch);
+  batch_update(as_updates(edges, false));
 }
 
 void UfoTree::batch_cut(const std::vector<Edge>& edges) {
-  std::vector<Update> batch(edges.size());
-  parallel_for(0, edges.size(), [&](size_t i) {
-    batch[i] = {edges[i].u, edges[i].v, edges[i].w, true};
-  });
-  batch_update(batch);
+  batch_update(as_updates(edges, true));
 }
 
 void UfoTree::ensure_scratch() {
@@ -106,26 +98,43 @@ void UfoTree::edge_level_ops(const std::vector<Update>& ops, bool insert) {
       b = hot_[b].parent;
     }
   });
+  if (!insert) {
+    auto gone = map(total, [&](size_t i) {
+      return std::pair{flat[i].first, flat[i].second.nbr};
+    });
+    for (uint32_t c : remove_adjacency(std::move(gone))) dirty_.push_back(c);
+    return;
+  }
   auto groups = group_by_key(flat);
   parallel_for(0, groups.size(), [&](size_t g) {
     auto [begin, end] = groups[g];
     uint32_t c = flat[begin].first;
-    if (insert) {
-      nbrs_reserve(c, hot_[c].nbrs.size + static_cast<uint32_t>(end - begin));
-      for (size_t i = begin; i < end; ++i) {
-        assert(!adj_contains(c, flat[i].second.nbr) &&
-               "batch inserts a present edge");
-        nbrs_push(c, flat[i].second);
-      }
-    } else {
-      std::vector<uint32_t> targets(end - begin);
-      for (size_t i = begin; i < end; ++i)
-        targets[i - begin] = flat[i].second.nbr;
-      std::sort(targets.begin(), targets.end());
-      adj_remove_batch(c, targets);
+    nbrs_reserve(c, hot_[c].nbrs.size + static_cast<uint32_t>(end - begin));
+    for (size_t i = begin; i < end; ++i) {
+      assert(!adj_contains(c, flat[i].second.nbr) &&
+             "batch inserts a present edge");
+      nbrs_push(c, flat[i].second);
     }
   });
   for (const auto& [begin, end] : groups) dirty_.push_back(flat[begin].first);
+}
+
+// Strip the (cluster, neighbor) entries in `gone`. The pairs are semisorted
+// by cluster, so one task owns each adjacency list and compacts it once
+// (k removals from a degree-d cluster cost O(d + k), not O(d * k)). Returns
+// the touched clusters in id order.
+std::vector<uint32_t> UfoTree::remove_adjacency(
+    std::vector<std::pair<uint32_t, uint32_t>> gone) {
+  auto groups = group_by_key(gone);
+  parallel_for(0, groups.size(), [&](size_t g) {
+    auto [begin, end] = groups[g];
+    std::vector<uint32_t> targets(end - begin);
+    for (size_t i = begin; i < end; ++i) targets[i - begin] = gone[i].second;
+    std::sort(targets.begin(), targets.end());
+    adj_remove_batch(gone[begin].first, targets);
+  });
+  return map(groups.size(),
+             [&](size_t g) { return gone[groups[g].first].first; });
 }
 
 // Level-synchronous concurrent DeleteAncestors (Algorithm 1 run one level
@@ -137,9 +146,11 @@ void UfoTree::edge_level_ops(const std::vector<Update>& ops, bool insert) {
 // parents shed their low-degree walk children and stay. The walk child of a
 // survivor stays attached only when its degree is >= 3 — which is also what
 // keeps the surviving chains usable for insert propagation.
-void UfoTree::teardown_pass(std::vector<Token> toks) {
+void UfoTree::teardown_pass(const std::vector<uint32_t>& starts) {
   UFO_SPAN("par.teardown");
-  UFO_STAT("par.teardown.walks", toks.size());
+  UFO_STAT("par.teardown.walks", starts.size());
+  std::vector<Token> toks =
+      map(starts.size(), [&](size_t i) { return Token{starts[i], false}; });
   while (!toks.empty()) {
     UFO_STAT("par.teardown.rounds", 1);
     ensure_scratch();
@@ -153,9 +164,8 @@ void UfoTree::teardown_pass(std::vector<Token> toks) {
         toks, [&](const Token& t) { return hot_[t.child].parent != 0; });
     if (rest.empty()) break;
 
-    std::vector<std::pair<uint32_t, uint32_t>> byp(rest.size());
-    parallel_for(0, rest.size(), [&](size_t i) {
-      byp[i] = {hot_[rest[i].child].parent, static_cast<uint32_t>(i)};
+    auto byp = map(rest.size(), [&](size_t i) {
+      return std::pair{hot_[rest[i].child].parent, static_cast<uint32_t>(i)};
     });
     auto groups = group_by_key(byp);
     size_t ngroups = groups.size();
@@ -163,7 +173,6 @@ void UfoTree::teardown_pass(std::vector<Token> toks) {
     UFO_STAT("par.teardown.visited", ngroups);
     std::vector<Token> next(ngroups);
     std::vector<std::vector<uint32_t>> rooted(ngroups);
-    std::vector<uint8_t> died(ngroups, 0);
 
     parallel_for(0, ngroups, [&](size_t g) {
       auto [begin, end] = groups[g];
@@ -174,12 +183,8 @@ void UfoTree::teardown_pass(std::vector<Token> toks) {
       for (size_t i = begin; i < end; ++i) {
         const Token& t = rest[byp[i].second];
         if (!t.deleted) continue;
-        if (ch.center_child == t.child) {
-          center_gone = true;
-        } else if (ch.center_child != 0 && cold_[cur].rake_index_valid) {
-          rake_index_remove(cur, t.child);
-        }
-        remove_child(cur, t.child);
+        if (ch.center_child == t.child) center_gone = true;
+        drop_child(cur, t.child);
       }
       bool deletable = ch.nbrs.size < 3 && ch.children.size < 3;
       // A pair merge whose merge edge was deleted by this batch is no
@@ -229,7 +234,6 @@ void UfoTree::teardown_pass(std::vector<Token> toks) {
       }
       if (deletable) {
         doomed_[cur] = 1;
-        died[g] = 1;
         for (uint32_t kid : children(cur)) {
           std::atomic_ref<uint32_t>(hot_[kid].parent)
               .store(0, std::memory_order_relaxed);
@@ -242,9 +246,7 @@ void UfoTree::teardown_pass(std::vector<Token> toks) {
           if (t.deleted) continue;
           uint32_t c = t.child;
           if (hot_[c].nbrs.size > 2) continue;  // stays attached
-          if (ch.center_child != 0 && cold_[cur].rake_index_valid)
-            rake_index_remove(cur, c);
-          remove_child(cur, c);
+          drop_child(cur, c);  // c is not the center (see the check above)
           std::atomic_ref<uint32_t>(hot_[c].parent)
               .store(0, std::memory_order_relaxed);
           rooted[g].push_back(c);
@@ -254,41 +256,25 @@ void UfoTree::teardown_pass(std::vector<Token> toks) {
     });
 
     // Phase boundary: collect re-rooted clusters, doomed ids, and dirt.
+    for (uint32_t c : flatten(rooted)) root_into_frontier(c);
     std::vector<uint32_t> newly_doomed;
-    for (size_t g = 0; g < ngroups; ++g) {
-      for (uint32_t c : rooted[g]) root_into_frontier(c);
-      if (died[g]) {
-        newly_doomed.push_back(next[g].child);
-      } else {
-        dirty_.push_back(next[g].child);
-      }
-    }
+    for (const Token& t : next)
+      (t.deleted ? newly_doomed : dirty_).push_back(t.child);
     doomed_list_.insert(doomed_list_.end(), newly_doomed.begin(),
                         newly_doomed.end());
     UFO_STAT("par.teardown.doomed", newly_doomed.size());
     UFO_STAT("par.teardown.survivors", ngroups - newly_doomed.size());
 
     // Remove this round's doomed clusters from their surviving neighbors'
-    // adjacency (grouped by survivor so each list has one owner).
+    // adjacency.
     std::vector<std::pair<uint32_t, uint32_t>> cleanup;
     for (uint32_t d : newly_doomed) {
       for (const Adj& a : nbrs(d))
         if (!doomed_[a.nbr]) cleanup.emplace_back(a.nbr, d);
     }
-    if (!cleanup.empty()) {
-      auto cgroups = group_by_key(cleanup);
-      parallel_for(0, cgroups.size(), [&](size_t g) {
-        auto [begin, end] = cgroups[g];
-        std::vector<uint32_t> targets(end - begin);
-        for (size_t i = begin; i < end; ++i)
-          targets[i - begin] = cleanup[i].second;
-        std::sort(targets.begin(), targets.end());
-        adj_remove_batch(cleanup[begin].first, targets);
-      });
-      for (const auto& [begin, end] : cgroups) {
-        dirty_.push_back(cleanup[begin].first);
-        revalidate_.push_back(cleanup[begin].first);  // degree dropped
-      }
+    for (uint32_t q : remove_adjacency(std::move(cleanup))) {
+      dirty_.push_back(q);
+      revalidate_.push_back(q);  // degree dropped
     }
     toks = std::move(next);
   }
@@ -297,19 +283,36 @@ void UfoTree::teardown_pass(std::vector<Token> toks) {
 void UfoTree::force_detach(uint32_t c) {
   uint32_t p = hot_[c].parent;
   assert(p != 0);
-  if (hot_[p].center_child != 0 && hot_[p].center_child != c &&
-      cold_[p].rake_index_valid)
-    rake_index_remove(p, c);
-  remove_child(p, c);
+  drop_child(p, c);
   hot_[c].parent = 0;
   root_into_frontier(c);
   dirty_.push_back(p);
 }
 
+bool UfoTree::attached(uint32_t c) const {
+  return alive(c) && !doomed_[c] && hot_[c].parent != 0;
+}
+
+// Detach broken participants: `forced` clusters that are still attached
+// directly (force_detach), and walk targets (attached, as the callers
+// ensure) through the guarded teardown. The claim filter keeps one walk per
+// target (each request claims with its own index as owner) and keeps index
+// order, so at width 1 the first occurrence wins.
+void UfoTree::detach(const std::vector<uint32_t>& walk_targets,
+                     std::vector<uint32_t> forced) {
+  remove_duplicates(forced);
+  for (uint32_t c : forced)
+    if (attached(c)) force_detach(c);
+  if (walk_targets.empty()) return;
+  claims_.begin_phase(pool_size());
+  teardown_pass(filter_index(walk_targets, [&](size_t i) {
+    return claims_.claim(walk_targets[i], static_cast<uint32_t>(i));
+  }));
+}
+
 void UfoTree::drain_revalidate() {
   while (!revalidate_.empty()) {
-    std::vector<uint32_t> check = std::move(revalidate_);
-    revalidate_.clear();
+    std::vector<uint32_t> check = std::exchange(revalidate_, {});
     remove_duplicates(check);
     check = filter(check,
                    [&](uint32_t q) { return alive(q) && !doomed_[q]; });
@@ -317,10 +320,9 @@ void UfoTree::drain_revalidate() {
     // the guarded teardown; a high-degree cluster whose rake role broke is
     // detached directly. Parentless clusters are skipped — the frontier
     // round that picks them up enforces maximality itself.
-    std::vector<uint32_t> walk_targets;
-    std::vector<uint32_t> forced;
-    auto lists = map(check.size(), [&](size_t i) {
-      std::pair<std::vector<uint32_t>, std::vector<uint32_t>> out;
+    std::vector<uint8_t> broken(check.size(), 0);  // rake role broke
+    auto walk_targets = flatten(map(check.size(), [&](size_t i) {
+      std::vector<uint32_t> out;
       uint32_t q = check[i];
       const Hot& qh = hot_[q];
       if (qh.parent == 0) return out;
@@ -328,41 +330,24 @@ void UfoTree::drain_revalidate() {
         for (const Adj& a : nbrs(q)) {
           const Hot& wh = hot_[a.nbr];
           if (wh.nbrs.size == 1 && wh.parent != 0 && wh.parent != qh.parent)
-            out.first.push_back(a.nbr);  // must be raked beside q
+            out.push_back(a.nbr);  // must be raked beside q
         }
         const Hot& pq = hot_[qh.parent];
         if (pq.center_child != 0 && pq.center_child != q)
-          out.second.push_back(q);  // a rake must have degree 1
+          broken[i] = 1;  // a rake must have degree 1
       } else if (qh.nbrs.size == 1) {
         uint32_t z = nbrs(q)[0].nbr;
         const Hot& zh = hot_[z];
         if (zh.nbrs.size >= 3 && zh.parent != 0 && zh.parent != qh.parent)
-          out.first.push_back(q);  // must be raked beside z
+          out.push_back(q);  // must be raked beside z
       }
       return out;
-    });
-    for (auto& l : lists) {
-      walk_targets.insert(walk_targets.end(), l.first.begin(),
-                          l.first.end());
-      forced.insert(forced.end(), l.second.begin(), l.second.end());
-    }
+    }));
+    auto forced = filter_index(check, [&](size_t i) { return broken[i]; });
     if (walk_targets.empty() && forced.empty()) break;
-    remove_duplicates(forced);
-    for (uint32_t c : forced)
-      if (hot_[c].parent != 0) force_detach(c);
     remove_duplicates(walk_targets);
-    walk_targets = filter(walk_targets, [&](uint32_t c) {
-      return alive(c) && !doomed_[c] && hot_[c].parent != 0;
-    });
-    if (!walk_targets.empty()) {
-      claims_.begin_phase(pool_size());
-      walk_targets = filter(
-          walk_targets, [&](uint32_t y) { return claims_.claim(y, y); });
-      std::vector<Token> toks(walk_targets.size());
-      parallel_for(0, walk_targets.size(),
-                   [&](size_t i) { toks[i] = {walk_targets[i], false}; });
-      teardown_pass(std::move(toks));
-    }
+    detach(filter(walk_targets, [&](uint32_t c) { return attached(c); }),
+           std::move(forced));
   }
 }
 
@@ -391,10 +376,7 @@ void UfoTree::batch_update(const std::vector<Update>& batch) {
       leaves[2 * i + 1] = leaf_id(batch[i].v);
     });
     remove_duplicates(leaves);
-    std::vector<Token> toks(leaves.size());
-    parallel_for(0, leaves.size(),
-                 [&](size_t i) { toks[i] = {leaves[i], false}; });
-    teardown_pass(std::move(toks));
+    teardown_pass(leaves);
     drain_revalidate();
   }
   // 3. Inserted edges join every level of the surviving chains.
@@ -422,35 +404,37 @@ void UfoTree::batch_update(const std::vector<Update>& batch) {
 }
 
 void UfoTree::contract_frontier() {
-  size_t l = 0;
-  while (l < frontier_.size()) {
-    if (frontier_[l].empty()) {
-      ++l;
-      continue;
-    }
-    std::vector<uint32_t> batch = std::move(frontier_[l]);
-    frontier_[l].clear();
+  for (size_t l = 0; l < frontier_.size(); ++l) {
     // Stay at l until it drains: a round can re-root more clusters here
     // (walklets detaching survivors never root below the level they start
     // from, so the sweep only ever moves up).
-    contract_round(static_cast<int32_t>(l), std::move(batch));
+    while (!frontier_[l].empty()) contract_round(static_cast<int32_t>(l));
   }
 }
 
-void UfoTree::contract_round(int32_t lvl, std::vector<uint32_t> raw) {
-  UFO_STAT("par.recluster.rounds", 1);
-  ensure_scratch();
-  remove_duplicates(raw);
-  std::vector<uint32_t> active = filter(raw, [&](uint32_t c) {
+// Drain frontier_[lvl] down to the clusters that join this level's round:
+// deduplicated, still alive, parentless and at lvl. Everything entering a
+// round gets fresh aggregates (shed survivors lost a child, frontier leaves
+// changed adjacency; idempotent for new parents), and zero-degree clusters
+// (completed tree roots) drop out.
+std::vector<uint32_t> UfoTree::take_live_roots(int32_t lvl) {
+  std::vector<uint32_t> roots;
+  if (static_cast<size_t>(lvl) < frontier_.size())
+    roots = std::exchange(frontier_[lvl], {});
+  remove_duplicates(roots);
+  roots = filter(roots, [&](uint32_t c) {
     return alive(c) && !doomed_[c] && hot_[c].parent == 0 &&
            hot_[c].level == lvl;
   });
-  // Everything entering a round gets fresh aggregates: shed survivors lost
-  // a child, frontier leaves changed adjacency. Idempotent for new parents.
-  parallel_for(0, active.size(),
-               [&](size_t i) { recompute_aggregates(active[i]); });
-  active = filter(active,
-                  [&](uint32_t c) { return hot_[c].nbrs.size != 0; });
+  parallel_for(0, roots.size(),
+               [&](size_t i) { recompute_aggregates(roots[i]); });
+  return filter(roots, [&](uint32_t c) { return hot_[c].nbrs.size != 0; });
+}
+
+void UfoTree::contract_round(int32_t lvl) {
+  UFO_STAT("par.recluster.rounds", 1);
+  ensure_scratch();
+  std::vector<uint32_t> active = take_live_roots(lvl);
   if (active.empty()) return;  // completed tree roots only
 
   // Phase 1: detach fixpoint. Two obligations against the surviving
@@ -466,14 +450,14 @@ void UfoTree::contract_round(int32_t lvl, std::vector<uint32_t> raw) {
   // first claimer owns the walk, and any loser simply finds the target
   // active (re-rooted at this level) in the next sweep.
   for (;;) {
-    auto lists = map(active.size(), [&](size_t i) {
-      std::pair<std::vector<uint32_t>, std::vector<uint32_t>> out;
+    std::vector<uint32_t> blocked(active.size(), 0);  // (b) neighbors, 0: none
+    std::vector<uint32_t> targets = flatten(map(active.size(), [&](size_t i) {
+      std::vector<uint32_t> out;
       uint32_t c = active[i];
       if (hot_[c].nbrs.size >= 3) {
         for (const Adj& a : nbrs(c)) {
           uint32_t y = a.nbr;
-          if (hot_[y].parent != 0 && hot_[y].nbrs.size == 1)
-            out.first.push_back(y);
+          if (hot_[y].parent != 0 && hot_[y].nbrs.size == 1) out.push_back(y);
         }
       } else if (hot_[c].nbrs.size == 1) {
         uint32_t y = nbrs(c)[0].nbr;
@@ -482,45 +466,17 @@ void UfoTree::contract_round(int32_t lvl, std::vector<uint32_t> raw) {
           bool can_center =
               pyh.center_child == y ||
               (pyh.center_child == 0 && pyh.children.size == 1);
-          if (!can_center) out.second.push_back(y);
+          if (!can_center) blocked[i] = y;
         }
       }
       return out;
-    });
-    std::vector<uint32_t> targets;
-    std::vector<uint32_t> forced;
-    for (auto& l : lists) {
-      targets.insert(targets.end(), l.first.begin(), l.first.end());
-      forced.insert(forced.end(), l.second.begin(), l.second.end());
-    }
+    }));
+    std::vector<uint32_t> forced =
+        filter(blocked, [](uint32_t y) { return y != 0; });
     if (targets.empty() && forced.empty()) break;
-    remove_duplicates(forced);
-    for (uint32_t y : forced)
-      if (alive(y) && !doomed_[y] && hot_[y].parent != 0) force_detach(y);
-    if (!targets.empty()) {
-      claims_.begin_phase(pool_size());
-      targets = filter(targets,
-                       [&](uint32_t y) { return claims_.claim(y, y); });
-      std::vector<Token> toks(targets.size());
-      parallel_for(0, targets.size(),
-                   [&](size_t i) { toks[i] = {targets[i], false}; });
-      teardown_pass(std::move(toks));
-    }
+    detach(targets, std::move(forced));
     // Absorb clusters the detaches re-rooted at this level.
-    std::vector<uint32_t> fresh;
-    if (static_cast<size_t>(lvl) < frontier_.size()) {
-      fresh = std::move(frontier_[lvl]);
-      frontier_[lvl].clear();
-    }
-    remove_duplicates(fresh);
-    fresh = filter(fresh, [&](uint32_t c) {
-      return alive(c) && !doomed_[c] && hot_[c].parent == 0 &&
-             hot_[c].level == lvl;
-    });
-    parallel_for(0, fresh.size(),
-                 [&](size_t i) { recompute_aggregates(fresh[i]); });
-    fresh = filter(fresh,
-                   [&](uint32_t c) { return hot_[c].nbrs.size != 0; });
+    std::vector<uint32_t> fresh = take_live_roots(lvl);
     if (fresh.empty()) break;  // targets were all shed without new roots
     active.insert(active.end(), fresh.begin(), fresh.end());
     remove_duplicates(active);
@@ -533,36 +489,29 @@ void UfoTree::contract_round(int32_t lvl, std::vector<uint32_t> raw) {
   ++round_;
 
   // Phase 2: roles.
-  parallel_for(0, m, [&](size_t i) { set_role(active[i], kFree); });
   parallel_for(0, m, [&](size_t i) {
     uint32_t c = active[i];
-    if (hot_[c].nbrs.size >= 3) set_role(c, kCenter);
+    set_role(c, hot_[c].nbrs.size >= 3 ? kCenter : kFree);
   });
   // Degree-1 clusters: rake under an active center, or rake-attach into a
   // surviving superunary whose center is their (attached) neighbor (the
   // phase-1 fixpoint already detached neighbors whose parent cannot center
   // them).
-  std::vector<std::pair<uint32_t, uint32_t>> engaged;  // (survivor parent, c)
-  {
-    auto lists = map(m, [&](size_t i) {
-      std::pair<uint32_t, uint32_t> none{0, 0};
-      uint32_t c = active[i];
-      if (hot_[c].nbrs.size != 1) return none;
-      uint32_t y = nbrs(c)[0].nbr;
-      if (role_of(y) == kCenter) {
-        set_role(c, kRaked);
-        return none;
-      }
-      if (role_of(y) == kNone && hot_[y].parent != 0 &&
-          hot_[y].nbrs.size >= 3) {
-        set_role(c, kEngaged);
-        return std::pair<uint32_t, uint32_t>{hot_[y].parent, c};
-      }
-      return none;
-    });
-    for (auto& e : lists)
-      if (e.second != 0) engaged.push_back(e);
-  }
+  auto slots = map(m, [&](size_t i) {  // (survivor parent, c) or (0, 0)
+    std::pair<uint32_t, uint32_t> none{0, 0};
+    uint32_t c = active[i];
+    if (hot_[c].nbrs.size != 1) return none;
+    uint32_t y = nbrs(c)[0].nbr;
+    if (role_of(y) == kCenter) {
+      set_role(c, kRaked);
+    } else if (role_of(y) == kNone && hot_[y].parent != 0 &&
+               hot_[y].nbrs.size >= 3) {
+      set_role(c, kEngaged);
+      return std::pair{hot_[y].parent, c};
+    }
+    return none;
+  });
+  auto engaged = filter(slots, [](const auto& e) { return e.second != 0; });
 
   // Phase B: randomized mutual-proposal matching over the remaining
   // degree <= 2 clusters (their eligible subgraph is a disjoint union of
@@ -621,39 +570,34 @@ void UfoTree::contract_round(int32_t lvl, std::vector<uint32_t> raw) {
   // Phase 3a: rake-attach into surviving superunary parents, grouped so one
   // task owns each target parent and extends its rake index with a single
   // parallel sorted-run bulk merge (this is the star's hot path).
-  std::vector<uint8_t> target_rooted(engaged.size(), 0);
-  std::vector<std::pair<size_t, size_t>> egroups;
-  if (!engaged.empty()) {
-    egroups = group_by_key(engaged);
-    parallel_for(0, egroups.size(), [&](size_t g) {
-      auto [begin, end] = egroups[g];
-      uint32_t py = engaged[begin].first;
-      Hot& pyh = hot_[py];
-      uint32_t y = nbrs(engaged[begin].second)[0].nbr;
-      if (pyh.center_child == 0) {
-        // A fanout-1 extension of y gains its first rakes: it becomes a
-        // high-degree merge centered on y (y kept degree >= 3, so its
-        // boundary is already the single center vertex).
-        assert(pyh.children.size == 1 && children(py)[0] == y);
-        pyh.center_child = y;
-        rake_index_clear(py);
-        cold_[py].rake_index_valid = true;
-      }
-      assert(pyh.center_child == y && "rake-attach target must center y");
-      std::vector<uint32_t> newly(end - begin);
-      for (size_t i = begin; i < end; ++i) {
-        newly[i - begin] = engaged[i].second;
-        add_child(py, engaged[i].second);
-      }
-      if (cold_[py].rake_index_valid) rake_index_bulk_add(py, newly);
-      if (pyh.parent == 0) target_rooted[g] = 1;
-    });
-    for (size_t g = 0; g < egroups.size(); ++g) {
-      uint32_t py = engaged[egroups[g].first].first;
-      dirty_.push_back(py);
-      // A parentless target re-contracts at its own level (dedup at round).
-      if (target_rooted[g]) root_into_frontier(py);
+  auto egroups = group_by_key(engaged);
+  parallel_for(0, egroups.size(), [&](size_t g) {
+    auto [begin, end] = egroups[g];
+    uint32_t py = engaged[begin].first;
+    Hot& pyh = hot_[py];
+    uint32_t y = nbrs(engaged[begin].second)[0].nbr;
+    if (pyh.center_child == 0) {
+      // A fanout-1 extension of y gains its first rakes: it becomes a
+      // high-degree merge centered on y (y kept degree >= 3, so its
+      // boundary is already the single center vertex).
+      assert(pyh.children.size == 1 && children(py)[0] == y);
+      pyh.center_child = y;
+      rake_index_clear(py);
+      cold_[py].rake_index_valid = true;
     }
+    assert(pyh.center_child == y && "rake-attach target must center y");
+    std::vector<uint32_t> newly(end - begin);
+    for (size_t i = begin; i < end; ++i) {
+      newly[i - begin] = engaged[i].second;
+      add_child(py, engaged[i].second);
+    }
+    if (cold_[py].rake_index_valid) rake_index_bulk_add(py, newly);
+  });
+  for (const auto& [begin, end] : egroups) {
+    uint32_t py = engaged[begin].first;
+    dirty_.push_back(py);
+    // A parentless target re-contracts at its own level (dedup at round).
+    if (hot_[py].parent == 0) root_into_frontier(py);
   }
 
   // Phase 3b: allocate the level's new parents at the phase boundary (the
@@ -664,10 +608,9 @@ void UfoTree::contract_round(int32_t lvl, std::vector<uint32_t> raw) {
   for (size_t i = 0; i < parents.size(); ++i)
     parents[i] = alloc_cluster(lvl + 1);
   ensure_scratch();  // the pool may have grown
-  parallel_for(0, parents.size(),
-               [&](size_t i) { set_role(parents[i], kFresh); });
   parallel_for(0, parents.size(), [&](size_t i) {
     uint32_t p = parents[i];
+    set_role(p, kFresh);  // the build below reads only the actives' roles
     if (i < nc) {
       uint32_t c = centers[i];
       hot_[p].center_child = c;
@@ -694,8 +637,8 @@ void UfoTree::contract_round(int32_t lvl, std::vector<uint32_t> raw) {
   // shared edge itself) or a surviving one, which gets the reciprocal entry
   // appended in a per-survivor batch. A forest has at most one edge between
   // two parents' contents, so no dedupe pass is needed.
-  std::vector<std::vector<std::pair<uint32_t, Adj>>> recip(parents.size());
-  parallel_for(0, parents.size(), [&](size_t i) {
+  auto flat = flatten(map(parents.size(), [&](size_t i) {
+    std::vector<std::pair<uint32_t, Adj>> recip;
     uint32_t p = parents[i];
     for (uint32_t c : children(p)) {
       for (const Adj& a : nbrs(c)) {
@@ -706,26 +649,23 @@ void UfoTree::contract_round(int32_t lvl, std::vector<uint32_t> raw) {
                "duplicate projected edge: cycle in the batch?");
         nbrs_push(p, {q, a.my_end, a.other_end, a.w});
         if (role_of(q) != kFresh)
-          recip[i].emplace_back(q, Adj{p, a.other_end, a.my_end, a.w});
+          recip.emplace_back(q, Adj{p, a.other_end, a.my_end, a.w});
       }
+    }
+    return recip;
+  }));
+  auto rgroups = group_by_key(flat);
+  parallel_for(0, rgroups.size(), [&](size_t g) {
+    auto [begin, end] = rgroups[g];
+    uint32_t q = flat[begin].first;
+    for (size_t i = begin; i < end; ++i) {
+      assert(!adj_contains(q, flat[i].second.nbr));
+      nbrs_push(q, flat[i].second);
     }
   });
-  std::vector<std::pair<uint32_t, Adj>> flat;
-  for (auto& r : recip) flat.insert(flat.end(), r.begin(), r.end());
-  if (!flat.empty()) {
-    auto rgroups = group_by_key(flat);
-    parallel_for(0, rgroups.size(), [&](size_t g) {
-      auto [begin, end] = rgroups[g];
-      uint32_t q = flat[begin].first;
-      for (size_t i = begin; i < end; ++i) {
-        assert(!adj_contains(q, flat[i].second.nbr));
-        nbrs_push(q, flat[i].second);
-      }
-    });
-    for (const auto& [begin, end] : rgroups) {
-      dirty_.push_back(flat[begin].first);
-      revalidate_.push_back(flat[begin].first);  // degree grew
-    }
+  for (const auto& [begin, end] : rgroups) {
+    dirty_.push_back(flat[begin].first);
+    revalidate_.push_back(flat[begin].first);  // degree grew
   }
 
   // Phase 5: aggregates — children and adjacency are final; one task per
@@ -748,8 +688,7 @@ void UfoTree::contract_round(int32_t lvl, std::vector<uint32_t> raw) {
 void UfoTree::flush_dirty() {
   if (dirty_.empty()) return;
   UFO_SPAN("par.flush");
-  std::vector<uint32_t> all = std::move(dirty_);
-  dirty_.clear();
+  std::vector<uint32_t> all = std::exchange(dirty_, {});
   remove_duplicates(all);
   std::vector<std::vector<uint32_t>> buckets;
   for (uint32_t c : all) {
@@ -775,20 +714,16 @@ void UfoTree::flush_dirty() {
       if (p == 0 || doomed_[p]) continue;
       if (buckets.size() <= l + 1) buckets.resize(l + 2);
       buckets[l + 1].push_back(p);
-      if (hot_[p].center_child != 0 && hot_[p].center_child != c &&
-          cold_[p].rake_index_valid)
-        stale.emplace_back(p, c);
+      if (indexed_rake(p, c)) stale.emplace_back(p, c);
     }
-    if (!stale.empty()) {
-      auto sgroups = group_by_key(stale);
-      parallel_for(0, sgroups.size(), [&](size_t g) {
-        auto [begin, end] = sgroups[g];
-        for (size_t i = begin; i < end; ++i) {
-          rake_index_remove(stale[i].first, stale[i].second);
-          rake_index_add(stale[i].first, stale[i].second);
-        }
-      });
-    }
+    auto sgroups = group_by_key(stale);
+    parallel_for(0, sgroups.size(), [&](size_t g) {
+      auto [begin, end] = sgroups[g];
+      for (size_t i = begin; i < end; ++i) {
+        rake_index_remove(stale[i].first, stale[i].second);
+        rake_index_add(stale[i].first, stale[i].second);
+      }
+    });
   }
 }
 

@@ -45,15 +45,17 @@
 // latency caveat. Large batches keep the level-synchronous sharing that
 // made the old backend fast on path/pref-attach inputs.
 //
-// Determinism: results (query answers) are deterministic; the concrete
-// cluster ids/shape may vary run to run with thread interleaving, since
-// phase-concurrent set iteration order feeds the contraction. All
-// structural invariants hold regardless (tests run check_valid /
-// check_aggregates at 1, 2, and max workers).
+// Determinism: results (query answers) are deterministic. At one worker
+// the concrete cluster ids/shape are too, since every phase builds its lists
+// in index order (DESIGN.md, "Parallel batch update"); at more workers they
+// may vary run to run, since claim races decide which repeated walk request
+// survives. All structural invariants hold regardless (tests run
+// check_valid / check_aggregates at 1, 2, and max workers).
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "core/ufo_core.h"
@@ -108,16 +110,26 @@ class UfoTree : public core::UfoCore {
   // surviving post-teardown chains). Ops are grouped per cluster so all
   // adjacency writes are owned by one task.
   void edge_level_ops(const std::vector<Update>& ops, bool insert);
-  // Level-synchronous concurrent DeleteAncestors: processes walk tokens one
-  // level per round, merging converging walks on their shared parent (the
-  // walks only ever ascend, so tokens at mixed levels compose). Detached
-  // clusters are re-rooted into frontier_ by level; doomed clusters are
-  // flagged and recycled at the end of the batch.
-  void teardown_pass(std::vector<Token> tokens);
+  // Strip (cluster, neighbor) adjacency entries with one compaction per
+  // cluster; returns the touched clusters.
+  std::vector<uint32_t> remove_adjacency(
+      std::vector<std::pair<uint32_t, uint32_t>> gone);
+  // Level-synchronous concurrent DeleteAncestors: walks up from each start
+  // cluster one level per round, merging converging walks on their shared
+  // parent (the walks only ever ascend, so walks at mixed levels compose).
+  // Detached clusters are re-rooted into frontier_ by level; doomed clusters
+  // are flagged and recycled at the end of the batch.
+  void teardown_pass(const std::vector<uint32_t>& starts);
   void root_into_frontier(uint32_t c);
   // Detach c from its surviving parent (no survival-guard walk: used when
   // c's role under that parent is structurally broken) and re-root it.
   void force_detach(uint32_t c);
+  // Still alive, not doomed, and under a parent.
+  bool attached(uint32_t c) const;
+  // Detach broken participants: `forced` via force_detach, walk targets
+  // through one teardown_pass (one walk per target).
+  void detach(const std::vector<uint32_t>& walk_targets,
+              std::vector<uint32_t> forced);
   // Revalidation of survivors whose adjacency changed (doomed-neighbor
   // cleanup, reciprocal projections): degree drift can break the
   // high-degree maximality invariant — an attached cluster reaching
@@ -129,7 +141,9 @@ class UfoTree : public core::UfoCore {
   void drain_revalidate();
   // Recluster the per-level frontier bottom-up until empty.
   void contract_frontier();
-  void contract_round(int32_t lvl, std::vector<uint32_t> raw);
+  // Drain frontier_[lvl] to the clusters that join a round at lvl.
+  std::vector<uint32_t> take_live_roots(int32_t lvl);
+  void contract_round(int32_t lvl);
   // Level-synchronous bottom-up aggregate refresh of every surviving
   // cluster touched by the batch (and their ancestors), refreshing cached
   // rake contributions in superunary parents on the way up.

@@ -1,6 +1,6 @@
 // Parallel sequence primitives built on the fork-join scheduler: map, reduce,
-// exclusive scan, pack/filter, merge sort, duplicate removal, and semisort
-// (group-by-key). These mirror the ParlayLib primitives the paper's
+// exclusive scan, flatten, pack/filter, merge sort, duplicate removal, and
+// semisort (group-by-key). These mirror the ParlayLib primitives the paper's
 // implementation relies on, with matching asymptotics in the binary
 // fork-join model (sorting-based semisort: O(k log k) work, which at the
 // batch sizes used here is indistinguishable from the O(k) hashing variant).
@@ -87,6 +87,27 @@ T scan_exclusive(std::vector<T>& v) {
     }
   });
   return total;
+}
+
+// Concatenate per-index output lists in index order (ParlayLib's flatten): a
+// size pass, an exclusive scan for the offsets, then a parallel copy. The
+// result depends only on the lists, never on which worker produced them.
+// Both passes fork in blocks of 2048 lists, like the scan: the lists were
+// usually just filled on other workers, so the adaptive prefix would time
+// cache misses, not work, and fork on inputs a plain loop finishes sooner.
+template <class T>
+std::vector<T> flatten(const std::vector<std::vector<T>>& lists) {
+  constexpr size_t kBlock = 2048;
+  size_t n = lists.size();
+  std::vector<size_t> off(n);
+  parallel_for(0, n, [&](size_t i) { off[i] = lists[i].size(); }, kBlock);
+  size_t total = scan_exclusive(off);
+  std::vector<T> out(total);
+  auto copy = [&](size_t i) {
+    std::copy(lists[i].begin(), lists[i].end(), out.begin() + off[i]);
+  };
+  parallel_for(0, n, copy, kBlock);
+  return out;
 }
 
 // Keep the elements v[i] for which pred(i) holds, preserving order: a flag

@@ -192,17 +192,11 @@ void TopologyTree::batch_update(const std::vector<Update>& batch) {
 }
 
 void TopologyTree::batch_link(const std::vector<Edge>& edges) {
-  std::vector<Update> batch;
-  batch.reserve(edges.size());
-  for (const Edge& e : edges) batch.push_back({e.u, e.v, e.w, false});
-  batch_update(batch);
+  batch_update(as_updates(edges, false));
 }
 
 void TopologyTree::batch_cut(const std::vector<Edge>& edges) {
-  std::vector<Update> batch;
-  batch.reserve(edges.size());
-  for (const Edge& e : edges) batch.push_back({e.u, e.v, e.w, true});
-  batch_update(batch);
+  batch_update(as_updates(edges, true));
 }
 
 bool TopologyTree::has_edge(Vertex u, Vertex v) const {

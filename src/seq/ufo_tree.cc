@@ -56,10 +56,7 @@ void UfoTree::delete_ancestors(uint32_t c) {
         add_root(ch);
       }
       if (next != 0) {
-        if (hot_[next].center_child != 0 && hot_[next].center_child != cur &&
-            cold_[next].rake_index_valid)
-          rake_index_remove(next, cur);
-        remove_child(next, cur);
+        drop_child(next, cur);
         // If next survives the walk its contents shrank; refresh later.
         mark_dirty(next);
       }
@@ -69,10 +66,7 @@ void UfoTree::delete_ancestors(uint32_t c) {
                hot_[prev].parent == cur) {
       // Disconnect the low-degree child from its surviving parent; the
       // parent's contents shrink, so its chain needs aggregate refreshes.
-      if (hot_[cur].center_child != 0 && hot_[cur].center_child != prev &&
-          cold_[cur].rake_index_valid)
-        rake_index_remove(cur, prev);
-      remove_child(cur, prev);
+      drop_child(cur, prev);
       hot_[prev].parent = 0;
       add_root(prev);
       mark_dirty(cur);
@@ -190,66 +184,22 @@ void UfoTree::edge_walk(Vertex u, Vertex v, Weight w, bool insert) {
 
 void UfoTree::link(Vertex u, Vertex v, Weight w) {
   assert(u != v && !connected(u, v));
-  delete_ancestors(leaf_id(u));
-  delete_ancestors(leaf_id(v));
-  edge_walk(u, v, w, /*insert=*/true);
-  // Leaf aggregates (boundary slots in particular) must be current before
-  // reclustering reads them; higher-level survivors keep their boundary
-  // vertex and are refreshed at flush_dirty().
-  refresh_leaf(leaf_id(u));
-  refresh_leaf(leaf_id(v));
-  for (uint32_t c = hot_[leaf_id(u)].parent; c != 0;) {
-    uint32_t up = hot_[c].parent;
-    repair(c);
-    c = up;
-  }
-  for (uint32_t c = hot_[leaf_id(v)].parent; c != 0;) {
-    uint32_t up = hot_[c].parent;
-    repair(c);
-    c = up;
-  }
-  // The surviving top of each chain is parentless; with its degree changed
-  // by the new edge it must participate in reclustering (e.g. a preserved
-  // tree-root cluster that now has an edge to the other tree).
-  add_root(tree_root(u));
-  add_root(tree_root(v));
-  recluster();
-  flush_dirty();
+  batch_update({{u, v, w, false}});
 }
 
 void UfoTree::cut(Vertex u, Vertex v) {
   assert(has_edge(u, v));
-  // Remove the edge at every level *before* deleting ancestors: the walk
-  // needs the intact parent chains to reach entries that earlier updates
-  // propagated above the chains' current common height. (The survival
-  // guards in delete_ancestors consequently see post-cut degrees, which
-  // also retires merges whose center degraded below degree 3.)
-  edge_walk(u, v, 0, /*insert=*/false);
-  delete_ancestors(leaf_id(u));
-  delete_ancestors(leaf_id(v));
-  refresh_leaf(leaf_id(u));
-  refresh_leaf(leaf_id(v));
-  for (uint32_t c = hot_[leaf_id(u)].parent; c != 0;) {
-    uint32_t up = hot_[c].parent;
-    repair(c);
-    c = up;
-  }
-  for (uint32_t c = hot_[leaf_id(v)].parent; c != 0;) {
-    uint32_t up = hot_[c].parent;
-    repair(c);
-    c = up;
-  }
-  add_root(tree_root(u));
-  add_root(tree_root(v));
-  recluster();
-  flush_dirty();
+  batch_update({{u, v, 0, true}});
 }
 
 void UfoTree::batch_update(const std::vector<Update>& batch) {
   UFO_SPAN("seq.batch_update");
   UFO_STAT("seq.batch.count", 1);
   UFO_STAT("seq.batch.updates", batch.size());
-  // Phase 1: remove all deleted edges at every level (chains still intact).
+  // Phase 1: remove all deleted edges at every level. The walks need the
+  // intact chains to reach entries that earlier updates propagated above the
+  // chains' current common height; the survival guards in delete_ancestors
+  // then see post-cut degrees, which retires merges whose center degraded.
   batch_deleting_ = true;
   for (const Update& up : batch)
     if (up.is_delete) edge_walk(up.u, up.v, 0, /*insert=*/false);
@@ -269,6 +219,9 @@ void UfoTree::batch_update(const std::vector<Update>& batch) {
   for (const Update& up : batch)
     if (!up.is_delete) edge_walk(up.u, up.v, up.w, /*insert=*/true);
   // Phase 4: refresh leaves, repair drifted merges, root the chain tops.
+  // Leaf boundary slots must be current before reclustering reads them, and
+  // a parentless chain top whose degree changed must recluster (e.g. a
+  // preserved tree root that now has an edge to another tree).
   for (Vertex v : endpoints) refresh_leaf(leaf_id(v));
   for (Vertex v : endpoints) {
     for (uint32_t c = hot_[leaf_id(v)].parent; c != 0;) {
@@ -284,17 +237,11 @@ void UfoTree::batch_update(const std::vector<Update>& batch) {
 }
 
 void UfoTree::batch_link(const std::vector<Edge>& edges) {
-  std::vector<Update> batch;
-  batch.reserve(edges.size());
-  for (const Edge& e : edges) batch.push_back({e.u, e.v, e.w, false});
-  batch_update(batch);
+  batch_update(as_updates(edges, false));
 }
 
 void UfoTree::batch_cut(const std::vector<Edge>& edges) {
-  std::vector<Update> batch;
-  batch.reserve(edges.size());
-  for (const Edge& e : edges) batch.push_back({e.u, e.v, e.w, true});
-  batch_update(batch);
+  batch_update(as_updates(edges, true));
 }
 
 // Algorithm 2, lines 3-40: recluster level by level. Phase A gives every

@@ -34,6 +34,7 @@ class UfoTree : public core::UfoCore {
   explicit UfoTree(size_t n);
 
   // --- Updates (any degree allowed) ----------------------------------------
+  // Single updates are batches of one.
   void link(Vertex u, Vertex v, Weight w = 1);
   void cut(Vertex u, Vertex v);
   // Batch-dynamic update (Section 5.2 / Algorithm 4 structure): applies a

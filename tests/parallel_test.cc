@@ -146,6 +146,39 @@ TEST(Primitives, Filter) {
   for (size_t i = 0; i < evens.size(); ++i) EXPECT_EQ(evens[i], (int)(2 * i));
 }
 
+TEST(Primitives, FlattenEmptyOuter) {
+  std::vector<std::vector<int>> lists;
+  EXPECT_TRUE(flatten(lists).empty());
+}
+
+TEST(Primitives, FlattenAllInnerEmpty) {
+  std::vector<std::vector<int>> lists(100);
+  EXPECT_TRUE(flatten(lists).empty());
+}
+
+TEST(Primitives, FlattenMixedSizesKeepsIndexOrder) {
+  std::vector<std::vector<int>> lists{{1, 2}, {}, {3}, {}, {}, {4, 5, 6}, {}};
+  EXPECT_EQ(flatten(lists), (std::vector<int>{1, 2, 3, 4, 5, 6}));
+}
+
+// Enough output for several scan blocks; list i holds i % 7 entries
+// (i, 0), (i, 1), ... and the result must be their index-order concatenation.
+TEST(Primitives, FlattenPastForkGrainKeepsIndexOrder) {
+  size_t n = 5000;
+  auto lists = map(n, [](size_t i) {
+    std::vector<std::pair<uint32_t, uint32_t>> out;
+    for (uint32_t j = 0; j < i % 7; ++j)
+      out.emplace_back(static_cast<uint32_t>(i), j);
+    return out;
+  });
+  auto flat = flatten(lists);
+  std::vector<std::pair<uint32_t, uint32_t>> expected;
+  for (const auto& l : lists)
+    expected.insert(expected.end(), l.begin(), l.end());
+  ASSERT_GT(expected.size(), 4096u);
+  EXPECT_EQ(flat, expected);
+}
+
 TEST(Primitives, SortRandom) {
   util::SplitMix64 rng(42);
   std::vector<uint64_t> v(50000);
@@ -172,6 +205,24 @@ TEST(Primitives, GroupByKey) {
   EXPECT_EQ(groups[1].second - groups[1].first, 3u);
   EXPECT_EQ(groups[2].second - groups[2].first, 1u);
   EXPECT_EQ(kv[groups[2].first].first, 3u);
+}
+
+// Four racing requests per id with distinct owners: exactly one wins each
+// id, and a new phase makes every id claimable again.
+TEST(ClaimTable, OneDistinctOwnerWinsPerPhase) {
+  constexpr size_t n = 4096;
+  ClaimTable claims;
+  for (int phase = 0; phase < 2; ++phase) {
+    claims.begin_phase(n);
+    std::vector<std::atomic<int>> wins(n);
+    parallel_for(0, 4 * n, [&](size_t r) {
+      if (claims.claim(r % n, static_cast<uint32_t>(r))) wins[r % n]++;
+    });
+    for (size_t id = 0; id < n; ++id) {
+      ASSERT_EQ(wins[id].load(), 1);
+      EXPECT_EQ(claims.owner_of(id) % n, id);
+    }
+  }
 }
 
 TEST(HashTable, InsertContainsErase) {

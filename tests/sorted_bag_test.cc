@@ -65,6 +65,26 @@ TEST(SortedBag, Top2WithDuplicateMaximum) {
   EXPECT_EQ(top[1], 7);  // a multiset: the duplicate counts as second
 }
 
+// top2 ranks up to four candidates: the two largest pending values and the
+// two topmost live main-run slots. Every split of four distinct values
+// between the two sources (each relative order of pending vs main) must
+// rank the same.
+TEST(SortedBag, Top2RanksPendingAgainstMainRun) {
+  const int64_t vals[4] = {10, 20, 30, 40};
+  for (int mask = 0; mask < 16; ++mask) {
+    if (__builtin_popcount(mask) != 2) continue;
+    SortedBag bag;
+    std::vector<int64_t> run;
+    std::multiset<int64_t> oracle(vals, vals + 4);
+    for (int i = 0; i < 4; ++i)
+      if (mask & (1 << i)) run.push_back(vals[i]);
+    bag.merge_sorted_run(run);  // main run
+    for (int i = 0; i < 4; ++i)
+      if (!(mask & (1 << i))) bag.insert(vals[i]);  // pending buffer
+    expect_matches(bag, oracle, "two pending, two main");
+  }
+}
+
 // Push enough values through to force multiple pending-buffer flushes and
 // main-run rebuilds, verifying against the oracle throughout.
 TEST(SortedBag, DifferentialRandomChurn) {
