@@ -42,7 +42,9 @@
 // connectivity query; tree-edge deletion O(min-side + incident non-tree
 // edges) for the search (within the doubling factor) plus the backend cut —
 // the pragmatic bound (no HDT-style amortization), which the
-// bench_connectivity sweep measures.
+// bench_connectivity sweep measures. Early tests of incomplete groups add
+// at most budget x degree component_id lookups per group per round, and
+// usually end the search next to the cut instead.
 #pragma once
 
 #include <concepts>
@@ -63,6 +65,7 @@
 #include "parallel/scheduler.h"
 #include "recovery/snapshot.h"
 #include "seq/ufo_tree.h"
+#include "util/fault.h"
 #include "util/union_find.h"
 
 namespace ufo::conn {
@@ -439,6 +442,8 @@ class GraphConnectivity {
     BatchStatus st = engine_.run(forest_, tree_, nontree_, cut, n_,
                                  multi_piece, &components_, &stalled);
     if (!stalled) return st;
+    // Counting site, never armed: tests read its hits to see the repair ran.
+    static_cast<void>(UFO_FAULT_POINT("conn.search.repair"));
     EdgeList crossing;
     for (Vertex v = 0; v < n_; ++v)
       nontree_.for_each_weighted(v, [&](Vertex y, Weight w) {

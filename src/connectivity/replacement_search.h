@@ -24,11 +24,16 @@
 //                merge requests.
 //   B. merge   — apply merge requests (splice loser frontier + pending into
 //                the union-find root's).
-//   C. scan    — parallel over the pending lists of *complete* groups (claim
-//                set = whole forest component): find one crossing non-tree
-//                edge per vertex; crossing-free vertices leave pending
-//                permanently (components only merge afterwards, so internal
-//                edges stay internal).
+//   C. scan    — parallel over pending vertices: a *complete* group (claim
+//                set = whole forest component) scans all of them and calls
+//                any edge leaving its claims crossing; an incomplete group,
+//                while both sides of one of its undone pairs are incomplete,
+//                scans its first `budget` pending vertices and asks the
+//                already-cut forest (component_id) whether an edge crosses.
+//                One crossing non-tree edge per vertex becomes a candidate;
+//                crossing-free vertices leave pending permanently
+//                (components only merge afterwards, so internal edges stay
+//                internal). Completion is needed only to certify.
 //   D. promote — dedupe candidates, stage them through a union-find over
 //                forest components (mutually independent set), then ONE
 //                forest.batch_link for the whole round; each promoted edge
@@ -53,6 +58,7 @@
 #include <concepts>
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -229,19 +235,25 @@ class ReplacementSearch {
         mreq_[r].clear();
       }
 
-      // --- Phase C: parallel crossing-edge scan of complete groups -------
+      // --- Phase C: parallel crossing-edge scan ---------------------------
+      // A complete group scans its whole pending list. An incomplete group
+      // scans only while early_ says so, and then only the first budget_
+      // vertices of its pending list: claim order puts those nearest the
+      // cut first, the rest stay pending unscanned.
       mark_served(S, k);
       item_group_.clear();
       item_vertex_.clear();
       scan_roots_.clear();
       for (uint32_t s = 0; s < S; ++s) {
-        if (qh_[s] == kNone || !served_[s] || !complete_[s]) continue;
+        if (qh_[s] == kNone || !served_[s] || !(complete_[s] || early_[s]))
+          continue;
         const auto& p = arena_.at(ph_[s]);
-        if (p.empty()) continue;
+        size_t slice = complete_[s] ? p.size() : std::min(p.size(), budget_[s]);
+        if (slice == 0) continue;
         scan_roots_.push_back(s);
-        for (Vertex x : p) {
+        for (size_t i = 0; i < slice; ++i) {
           item_group_.push_back(s);
-          item_vertex_.push_back(x);
+          item_vertex_.push_back(p[i]);
         }
       }
       size_t items = item_vertex_.size();
@@ -249,13 +261,23 @@ class ReplacementSearch {
       auto scan = [&](size_t j) {
         Vertex x = item_vertex_[j];
         uint32_t r = item_group_[j];
+        std::optional<uint64_t> cx;  // x's component id, looked up once
         Vertex found = kNoVertex;
         nontree.for_each_neighbor(x, [&](Vertex y) {
           if (found != kNoVertex) return;
           uint32_t o = claims_.owner_of(y);
-          // r is complete: its claims cover x's whole forest component, so
-          // an unclaimed or foreign-group y lies in another component.
-          if (o == par::ClaimTable::kUnclaimed || lead_[o] != r) found = y;
+          // r's claims lie in one forest component: a y of its own is
+          // internal.
+          if (o != par::ClaimTable::kUnclaimed && lead_[o] == r) return;
+          // A complete r covers x's whole component, so any other y lies
+          // in another one; an incomplete r asks the forest, which is
+          // already cut.
+          if (complete_[r]) {
+            found = y;
+            return;
+          }
+          if (!cx) cx = forest.component_id(x);
+          if (forest.component_id(y) != *cx) found = y;
         });
         cand_y_[j] = found;
       };
@@ -266,6 +288,8 @@ class ReplacementSearch {
         // A single cut makes exactly two pieces, so its first crossing edge
         // reconnects them: scan in order and stop there. Vertices left
         // unscanned stay pending, so they never count as certified clean.
+        // The stop still pays once one side completes: that side then
+        // scans its whole pending list, not a budgeted slice.
         size_t j = 0;
         while (j < items) {
           scan(j);
@@ -277,31 +301,37 @@ class ReplacementSearch {
       }
       UFO_STAT("conn.replacement_scanned", static_cast<int64_t>(scanned));
 
-      // Rebuild pending lists: crossing-free vertices leave permanently,
-      // emitters stay (their candidate may lose staging and need a rescan).
-      // A group's claims lie in one forest component, so staging would
-      // accept at most one of its candidates per target group: keep one
-      // per target group, plus one into unclaimed territory, and spare
-      // staging the rest's component lookups. Items are contiguous per
-      // group, so last_emit_ only needs the last emitting group per target.
+      // Rebuild pending lists in place: crossing-free vertices leave
+      // permanently, emitters stay (their candidate may lose staging and
+      // need a rescan), and so does the suffix past an incomplete group's
+      // slice, in claim order. A group's claims lie in one forest
+      // component, so staging would accept at most one of its candidates
+      // per target group: keep one per target group, plus one into
+      // unclaimed territory, and spare staging the rest's component
+      // lookups. Items are contiguous per group, in scan_roots_ order, so
+      // last_emit_ only needs the last emitting group per target.
       size_t pending_drops = 0;
       EdgeList cands;
       last_emit_.assign(S + 1, par::ClaimTable::kUnclaimed);
-      for (uint32_t s : scan_roots_) arena_.at(ph_[s]).clear();
-      for (size_t j = 0; j < items; ++j) {
-        Vertex y = cand_y_[j];
-        if (y == kNoVertex) {
-          ++pending_drops;
-          continue;
+      for (size_t j = 0; uint32_t r : scan_roots_) {
+        auto& p = arena_.at(ph_[r]);
+        size_t first = j, kept = 0;
+        for (; j < items && item_group_[j] == r; ++j) {
+          Vertex y = cand_y_[j];
+          if (y == kNoVertex) {
+            ++pending_drops;
+            continue;
+          }
+          p[kept++] = item_vertex_[j];
+          if (y == kUnscanned) continue;
+          uint32_t o = claims_.owner_of(y);
+          uint32_t target = o == par::ClaimTable::kUnclaimed ? S : lead_[o];
+          if (last_emit_[target] == r) continue;
+          last_emit_[target] = r;
+          cands.push_back(Edge{item_vertex_[j], y, Weight{1}});
         }
-        uint32_t r = item_group_[j];
-        arena_.at(ph_[r]).push_back(item_vertex_[j]);
-        if (y == kUnscanned) continue;
-        uint32_t o = claims_.owner_of(y);
-        uint32_t target = o == par::ClaimTable::kUnclaimed ? S : lead_[o];
-        if (last_emit_[target] == r) continue;
-        last_emit_[target] = r;
-        cands.push_back(Edge{item_vertex_[j], y, Weight{1}});
+        p.erase(p.begin() + static_cast<ptrdiff_t>(kept),
+                p.begin() + static_cast<ptrdiff_t>(j - first));
       }
 
       // --- Phase D: bulk promotion -------------------------------------
@@ -421,9 +451,9 @@ class ReplacementSearch {
     size_t total = sizeof(*this) + claims_.memory_bytes() +
                    arena_.memory_bytes() + vec(qh_) + vec(ph_) + vec(head_) +
                    vec(budget_) + vec(complete_) + vec(done_) + vec(lead_) +
-                   vec(served_) + vec(expand_roots_) + vec(scan_roots_) +
-                   vec(item_group_) + vec(item_vertex_) + vec(cand_y_) +
-                   vec(last_emit_);
+                   vec(served_) + vec(early_) + vec(expand_roots_) +
+                   vec(scan_roots_) + vec(item_group_) + vec(item_vertex_) +
+                   vec(cand_y_) + vec(last_emit_);
     for (const auto& m : mreq_) total += vec(m);
     total += mreq_.capacity() * sizeof(std::vector<uint32_t>);
     return total;
@@ -444,14 +474,18 @@ class ReplacementSearch {
   }
 
   // Refresh the leads, then flag served_[r] for every group root r that
-  // serves at least one of the k pairs not yet done.
+  // serves at least one of the k pairs not yet done, and early_[r] when
+  // both sides of such a pair are still incomplete. Once one side is
+  // complete, its claim-based scan is the cheaper way to settle the pair.
   void mark_served(uint32_t S, size_t k) {
     refresh_leads(S);
     served_.assign(S, 0);
+    early_.assign(S, 0);
     for (size_t i = 0; i < k; ++i) {
       if (done_[i]) continue;
-      served_[lead_[2 * i]] = 1;
-      served_[lead_[2 * i + 1]] = 1;
+      uint32_t a = lead_[2 * i], b = lead_[2 * i + 1];
+      served_[a] = served_[b] = 1;
+      if (!complete_[a] && !complete_[b]) early_[a] = early_[b] = 1;
     }
   }
 
@@ -502,7 +536,7 @@ class ReplacementSearch {
   std::vector<par::FrontierArena::Handle> qh_, ph_;  // per-root BFS queue /
                                                      // pending-scan handles
   std::vector<size_t> head_, budget_;
-  std::vector<uint8_t> complete_, done_, served_;
+  std::vector<uint8_t> complete_, done_, served_, early_;
   std::vector<uint32_t> lead_;  // search id -> union-find root, per-phase
                                 // snapshot (find() mutates; no concurrent use)
   std::vector<std::vector<uint32_t>> mreq_;  // per-root merge requests

@@ -13,7 +13,10 @@
 //   * power-law shatter — skewed degrees, many pieces per batch;
 //   * full-component deletion — certification (not reconnection) must
 //     terminate every search, including the multi-piece both-sides rule;
-//   * duplicate / absent / self-loop entries mixed into every batch.
+//   * duplicate / absent / self-loop entries mixed into every batch;
+//   * deep forests — long paths and a grid under a random spanning forest,
+//     where incomplete groups test their non-tree edges by component id
+//     before their BFS covers a side.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -22,6 +25,7 @@
 
 #include "connectivity/connectivity.h"
 #include "graph/generators.h"
+#include "parallel/par_ufo_tree.h"
 #include "pool_coverage.h"
 #include "seq/ufo_tree.h"
 #include "util/random.h"
@@ -88,8 +92,9 @@ class BfsOracle {
 
 // Apply the same erase batch to the connectivity layer and the oracle; then
 // cross-check them.
+template <typename Conn = UfoConn>
 struct Duo {
-  UfoConn par_g;
+  Conn par_g;
   BfsOracle oracle;
 
   explicit Duo(size_t n) : par_g(n), oracle(n) {}
@@ -301,6 +306,130 @@ TEST(ParallelBatchErase, SingleEdgeBatchesMatchSingleErase) {
     if (i % 10 == 9) t.check(rng, 20);
   }
   t.check(rng, 40);
+}
+
+// A path of 4096 vertices inserted first, so it is the spanning forest,
+// plus `chords` as non-tree edges.
+template <typename Conn = UfoConn>
+void deep_path(Duo<Conn>& t, const EdgeList& chords) {
+  t.insert_all(gen::path(t.par_g.size()));
+  t.insert_all(chords);
+  ASSERT_EQ(t.par_g.num_tree_edges(), t.par_g.size() - 1);
+}
+
+// Chords (i, i + 3) that never cross the middle of an n-vertex path.
+EdgeList half_chords(size_t n) {
+  EdgeList chords;
+  for (Vertex i = 0; i + 3 < n; i += 5)
+    if ((i + 3 < n / 2) == (i < n / 2))
+      chords.push_back({i, static_cast<Vertex>(i + 3)});
+  return chords;
+}
+
+TEST(ParallelBatchErase, DeepPathMiddleCutCertifies) {
+  // Both sides of the middle cut are 2048 deep, and every chord near the
+  // cut is internal: early scans drop clean vertices from both incomplete
+  // groups, and the cut must still certify as two components.
+  constexpr size_t n = 4096;
+  const Edge mid{n / 2 - 1, n / 2};
+  util::SplitMix64 rng(21);
+  {
+    SCOPED_TRACE("single erase");
+    Duo t(n);
+    deep_path(t, half_chords(n));
+    EXPECT_TRUE(t.par_g.erase(mid.u, mid.v));
+    t.oracle.erase(mid.u, mid.v);
+    EXPECT_EQ(t.par_g.num_components(), 2u);
+    t.check(rng, 40);
+  }
+  {
+    SCOPED_TRACE("batch of one");
+    Duo t(n);
+    deep_path(t, half_chords(n));
+    t.erase_batch({mid});
+    EXPECT_EQ(t.par_g.num_components(), 2u);
+    t.check(rng, 40);
+  }
+  {
+    SCOPED_TRACE("multi-edge batch");
+    Duo t(n);
+    EdgeList chords = half_chords(n);
+    deep_path(t, chords);
+    // The middle cut plus path edges that chords bridge, one non-tree
+    // chord, and the salt.
+    EdgeList batch{mid, {100, 101}, {3000, 3001}, {1, 2}, chords[7]};
+    salt(&batch, n, rng);
+    t.erase_batch(batch);
+    EXPECT_EQ(t.par_g.num_components(), t.oracle.num_components());
+    t.check(rng, 40);
+  }
+}
+
+TEST(ParallelBatchErase, DeepPathFarCrossingChordFoundAfterCleanDrops) {
+  // One chord crosses the middle, 1000 hops from the cut on either side:
+  // both groups drop clean vertices for several rounds before one of them
+  // reaches it and promotes it.
+  constexpr size_t n = 4096;
+  const Edge mid{n / 2 - 1, n / 2};
+  EdgeList chords = half_chords(n);
+  chords.push_back({n / 2 - 1000, n / 2 + 1000});
+  util::SplitMix64 rng(22);
+  {
+    SCOPED_TRACE("single erase");
+    Duo t(n);
+    deep_path(t, chords);
+    EXPECT_TRUE(t.par_g.erase(mid.u, mid.v));
+    t.oracle.erase(mid.u, mid.v);
+    EXPECT_EQ(t.par_g.num_components(), 1u);
+    t.check(rng, 40);
+  }
+  {
+    SCOPED_TRACE("multi-edge batch");
+    Duo t(n);
+    deep_path(t, chords);
+    EdgeList batch{mid, {500, 501}, {3500, 3501}};
+    salt(&batch, n, rng);
+    t.erase_batch(batch);
+    EXPECT_EQ(t.par_g.num_components(), 1u);
+    t.check(rng, 40);
+  }
+}
+
+// A 64x64 grid standing on a random-incremental spanning forest (inserted
+// first, as the repository benchmark does): rounds of k=8 random erases
+// plus re-insert, then single erases.
+template <typename Conn>
+void grid_trickle(uint64_t seed) {
+  constexpr size_t side = 64, n = side * side;
+  Duo<Conn> t(n);
+  EdgeList edges = gen::grid_graph(side, side);
+  t.insert_all(gen::ris_forest(n, edges, seed));
+  t.insert_all(edges);
+  util::SplitMix64 rng(seed);
+  for (size_t round = 0; round < 12; ++round) {
+    EdgeList batch;
+    for (size_t i = 0; i < 8; ++i)
+      batch.push_back(edges[rng.next(edges.size())]);
+    t.erase_batch(batch);
+    t.check(rng, 20);
+    t.insert_all(batch);
+  }
+  for (size_t i = 0; i < 24; ++i) {
+    const Edge& e = edges[rng.next(edges.size())];
+    EXPECT_TRUE(t.par_g.erase(e.u, e.v));
+    t.oracle.erase(e.u, e.v);
+    if (i % 6 == 5) t.check(rng, 20);
+    t.insert_all({e});
+  }
+  t.check(rng, 40);
+}
+
+TEST(ParallelBatchErase, GridTrickleSeqBackend) {
+  grid_trickle<GraphConnectivity<seq::UfoTree>>(5);
+}
+
+TEST(ParallelBatchErase, GridTrickleParBackend) {
+  grid_trickle<GraphConnectivity<par::UfoTree>>(6);
 }
 
 }  // namespace

@@ -279,6 +279,8 @@ TEST_F(FaultTest, SearchStallRepairsForest) {
     EXPECT_EQ(g.batch_erase(c.drop), conn::BatchStatus::kOk);
     fault::Injector::instance().disarm();
     EXPECT_EQ(fault::Injector::instance().fired("conn.search.stall"), 1u);
+    // The valve must leave pairs unsettled, or the repair never runs.
+    EXPECT_EQ(fault::Injector::instance().hits("conn.search.repair"), 1u);
     ASSERT_TRUE(g.check_valid());
 
     // BFS oracle over the surviving edges: label = smallest vertex id.
