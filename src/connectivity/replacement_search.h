@@ -281,25 +281,8 @@ class ReplacementSearch {
         });
         cand_y_[j] = found;
       };
-      [[maybe_unused]] size_t scanned = items;
-      if (multi_piece) {
-        par::parallel_for(0, items, scan);
-      } else {
-        // A single cut makes exactly two pieces, so its first crossing edge
-        // reconnects them: scan in order and stop there. Vertices left
-        // unscanned stay pending, so they never count as certified clean.
-        // The stop still pays once one side completes: that side then
-        // scans its whole pending list, not a budgeted slice.
-        size_t j = 0;
-        while (j < items) {
-          scan(j);
-          if (cand_y_[j++] != kNoVertex) break;
-        }
-        scanned = j;
-        std::fill(cand_y_.begin() + static_cast<ptrdiff_t>(j), cand_y_.end(),
-                  kUnscanned);
-      }
-      UFO_STAT("conn.replacement_scanned", static_cast<int64_t>(scanned));
+      par::parallel_for(0, items, scan);
+      UFO_STAT("conn.replacement_scanned", static_cast<int64_t>(items));
 
       // Rebuild pending lists in place: crossing-free vertices leave
       // permanently, emitters stay (their candidate may lose staging and
@@ -323,7 +306,6 @@ class ReplacementSearch {
             continue;
           }
           p[kept++] = item_vertex_[j];
-          if (y == kUnscanned) continue;
           uint32_t o = claims_.owner_of(y);
           uint32_t target = o == par::ClaimTable::kUnclaimed ? S : lead_[o];
           if (last_emit_[target] == r) continue;
@@ -464,9 +446,6 @@ class ReplacementSearch {
   // a hop or two stop after one cheap round; doubling reaches any radius in
   // log rounds anyway.
   static constexpr size_t kInitialBudget = 8;
-  // Scan result of a vertex the single-cut early exit skipped (vertex ids
-  // stay below kNoVertex - 1).
-  static constexpr Vertex kUnscanned = kNoVertex - 1;
   static constexpr par::FrontierArena::Handle kNone = par::FrontierArena::kNone;
 
   void refresh_leads(uint32_t S) {
